@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race trace-race trace-bench bench bench-smoke bench-compare chaos crash overload overload-race obs-smoke route-smoke scenario scenario-full examples experiments fuzz fuzz-codec clean
+.PHONY: all build vet test race trace-race trace-bench bench bench-smoke bench-compare chaos crash overload overload-race obs-smoke route-smoke scenario scenario-full examples experiments fuzz fuzz-codec perfbench-check clean
 
-all: build vet test trace-race chaos crash overload obs-smoke route-smoke fuzz-codec bench-smoke bench-compare scenario
+all: build vet test perfbench-check trace-race chaos crash overload obs-smoke route-smoke fuzz-codec bench-smoke bench-compare scenario
 
 build:
 	$(GO) build ./...
@@ -90,8 +90,8 @@ bench-smoke:
 
 # Regression gate: diff the fresh run against the recorded PR-8 baseline and
 # fail on a >10% tasks/s drop (or p50/p99 rise) in any arm present in both,
-# a >10% drop in the codec-speedup / dedup-reduction headline ratios, or a
-# route-p2c p99 improvement below its 2x floor.
+# a >10% drop in the dedup-reduction headline ratio, or a route-p2c p99
+# improvement below its 2x floor.
 bench-compare:
 	$(GO) run ./cmd/gc-bench -compare BENCH_pr8.json,BENCH_pr9.json
 
@@ -129,11 +129,20 @@ fuzz:
 	$(GO) test -fuzz FuzzRender -fuzztime 30s ./internal/template/
 	$(GO) test -fuzz FuzzParseRules -fuzztime 30s ./internal/idmap/
 
-# Short codec fuzz pass run as part of `make all`: binary<->JSON equivalence
-# and binary-decode hardening (see docs/PROTOCOL.md "Binary encoding").
+# Short codec fuzz pass run as part of `make all`: binary codec vs the JSON
+# reference semantics of Envelope, and binary-decode hardening (see
+# docs/PROTOCOL.md "Framing").
 fuzz-codec:
 	$(GO) test -fuzz FuzzCodecEquivalence -fuzztime 10s ./internal/protocol/
 	$(GO) test -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/protocol/
+
+# The end-to-end benchmark (perfbench/, its own Go module built against this
+# tree) vetted and unit-tested with perfbench/run.sh's offline module
+# settings, so a broker or SDK API change that would break the benchmark
+# fails here rather than when the benchmark runs.
+perfbench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && \
+		GOFLAGS=-mod=mod GOPROXY=off $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

@@ -555,82 +555,63 @@ func BenchmarkFig2TraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkBrokerSaturation pushes b.N messages through the TCP broker,
-// unbatched (one publish + one ack round trip per message) vs batched (32
-// per frame) — the PR-3 wire-batching speedup, measured by the harness that
-// gc-bench -exp saturation records into BENCH_pr3.json.
+// BenchmarkBrokerSaturation pushes b.N messages through the TCP broker in
+// publish batches of 32 per frame — the path gc-bench -exp saturation
+// records as its tcp batched arm.
 func BenchmarkBrokerSaturation(b *testing.B) {
-	for _, batch := range []int{1, 32} {
-		name := "tcp-unbatched"
-		if batch > 1 {
-			name = fmt.Sprintf("tcp-batched-%d", batch)
+	const batch = 32
+	b.Run(fmt.Sprintf("tcp-batched-%d", batch), func(b *testing.B) {
+		brk := broker.New()
+		if err := brk.Declare("sat"); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			brk := broker.New()
-			if err := brk.Declare("sat"); err != nil {
-				b.Fatal(err)
-			}
-			srv, err := broker.Serve(brk, "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			var bc *broker.Client
-			if batch > 1 {
-				bc, err = broker.DialBatched(srv.Addr(), broker.BatchConfig{MaxBatch: batch})
-			} else {
-				bc, err = broker.Dial(srv.Addr())
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bc.Close()
-			sub, err := bc.Consume("sat", 2*batch+64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sub.Cancel()
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				seen := 0
-				tags := make([]uint64, 0, batch)
-				for m := range sub.Messages() {
-					tags = append(tags, m.Tag)
-					seen++
-					if len(tags) >= batch || seen == b.N {
-						_ = sub.AckBatch(tags)
-						tags = tags[:0]
-					}
-					if seen == b.N {
-						return
-					}
+		srv, err := broker.Serve(brk, "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		bc, err := broker.Dial(srv.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer bc.Close()
+		sub, err := bc.Consume("sat", 2*batch+64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sub.Cancel()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			seen := 0
+			tags := make([]uint64, 0, batch)
+			for m := range sub.Messages() {
+				tags = append(tags, m.Tag)
+				seen++
+				if len(tags) >= batch || seen == b.N {
+					_ = sub.AckBatch(tags)
+					tags = tags[:0]
 				}
-			}()
-			body := bytes.Repeat([]byte("x"), 64)
-			b.ResetTimer()
-			if batch <= 1 {
-				for i := 0; i < b.N; i++ {
-					if err := bc.Publish("sat", body); err != nil {
-						b.Fatal(err)
-					}
-				}
-			} else {
-				for i := 0; i < b.N; i += batch {
-					k := batch
-					if b.N-i < k {
-						k = b.N - i
-					}
-					bodies := make([][]byte, k)
-					for j := range bodies {
-						bodies[j] = body
-					}
-					if err := bc.PublishBatch("sat", bodies, nil); err != nil {
-						b.Fatal(err)
-					}
+				if seen == b.N {
+					return
 				}
 			}
-			<-done
-		})
-	}
+		}()
+		body := bytes.Repeat([]byte("x"), 64)
+		b.ResetTimer()
+		for i := 0; i < b.N; i += batch {
+			k := batch
+			if b.N-i < k {
+				k = b.N - i
+			}
+			bodies := make([][]byte, k)
+			for j := range bodies {
+				bodies[j] = body
+			}
+			if err := bc.PublishBatch("sat", bodies, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		<-done
+	})
 }

@@ -109,26 +109,22 @@ func compareSaturation(oldPath, newPath string) error {
 			op.AchievedPerS, np.AchievedPerS, op.P50US, np.P50US, op.P99US, np.P99US, verdict)
 	}
 	// Headline ratio fields gate like arms when both files record them: the
-	// codec speedup is saturation-derived (so it re-baselines across a
-	// measure_version bump), the dedup byte reduction is deterministic byte
-	// accounting and always gates. Ratios with a floor must also clear it
-	// absolutely in the new file — the route p99 improvement, for example,
-	// must stay >= 2x (p2c p99 <= 0.5x random p99) no matter what the
-	// baseline recorded.
+	// dedup byte reduction is deterministic byte accounting and always
+	// gates. Ratios with a floor must also clear it absolutely in the new
+	// file — the route p99 improvement, for example, must stay >= 2x (p2c
+	// p99 <= 0.5x random p99) no matter what the baseline recorded.
 	for _, r := range []struct {
-		name         string
-		old, new     float64
-		saturational bool
-		floor        float64
+		name     string
+		old, new float64
+		floor    float64
 	}{
-		{"codec_on_vs_off_at_saturation", oldRes.CodecSpeedup, newRes.CodecSpeedup, true, 0},
-		{"dedup_byte_reduction_fanout16", oldRes.DedupByteReduction, newRes.DedupByteReduction, false, 0},
+		{"dedup_byte_reduction_fanout16", oldRes.DedupByteReduction, newRes.DedupByteReduction, 0},
 		// Queue dynamics over thousands of simulated endpoints make the p99
 		// ratio noisy run to run, so it gates on its absolute floor only.
-		{"route_p2c_p99_improvement", 0, newRes.RouteP2CImprovement, false, 2.0},
-		{"route_p2c_throughput_ratio", 0, newRes.RouteP2CThroughput, false, 0.95},
+		{"route_p2c_p99_improvement", 0, newRes.RouteP2CImprovement, 2.0},
+		{"route_p2c_throughput_ratio", 0, newRes.RouteP2CThroughput, 0.95},
 	} {
-		if r.new <= 0 || (r.saturational && skipSaturation) {
+		if r.new <= 0 {
 			continue
 		}
 		if r.old <= 0 && r.floor <= 0 {

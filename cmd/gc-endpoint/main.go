@@ -5,7 +5,6 @@
 package main
 
 import (
-	"crypto/x509"
 	"flag"
 	"fmt"
 	"log"
@@ -202,30 +201,20 @@ func main() {
 	fmt.Println("gc-endpoint: drained cleanly")
 }
 
-// dialBroker connects plain or over TLS when a CA file is supplied. Wire
-// batching and the binary hot-path codec are enabled either way: batch
-// frames replace per-message round trips, and the codec kicks in when the
-// server confirms it (old servers leave the connection on JSON).
+// dialBroker connects plain or over TLS when a CA file is supplied. Either
+// way the client speaks the one broker wire: binary frames, with publishes,
+// acks and deliveries in batch frames.
 func dialBroker(addr, caPath string) (*broker.Client, error) {
-	var bc *broker.Client
-	var err error
 	if caPath == "" {
-		bc, err = broker.Dial(addr)
-	} else {
-		var pemData []byte
-		if pemData, err = os.ReadFile(caPath); err != nil {
-			return nil, err
-		}
-		var pool *x509.CertPool
-		if pool, err = broker.PoolFromPEM(pemData); err != nil {
-			return nil, err
-		}
-		bc, err = broker.DialTLS(addr, pool)
+		return broker.Dial(addr)
 	}
+	pemData, err := os.ReadFile(caPath)
 	if err != nil {
 		return nil, err
 	}
-	bc.EnableBatching(broker.BatchConfig{})
-	bc.EnableBinary()
-	return bc, nil
+	pool, err := broker.PoolFromPEM(pemData)
+	if err != nil {
+		return nil, err
+	}
+	return broker.DialTLS(addr, pool)
 }

@@ -19,7 +19,7 @@ func TestBatchPublishConsumeTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	sub, err := DialBatched(s.Addr(), BatchConfig{MaxBatch: 32})
+	sub, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,66 +61,7 @@ func TestBatchPublishConsumeTCP(t *testing.T) {
 	}
 }
 
-// --- interop: old client against new server ---
-
-// TestOldClientPlainPublishInterop speaks the pre-batching wire protocol by
-// hand (plain publish / consume / ack envelopes, no batch fields) against
-// the batching-aware server: everything must decode and deliver exactly as
-// before, with plain delivery frames only.
-func TestOldClientPlainPublishInterop(t *testing.T) {
-	s, _ := newTestServer(t)
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	r := protocol.NewFrameReader(conn)
-	w := protocol.NewFrameWriter(conn)
-
-	call := func(id, typ string, body any) {
-		t.Helper()
-		if err := w.Write(protocol.MustEnvelope(typ, id, body)); err != nil {
-			t.Fatal(err)
-		}
-		env, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if env.Type != protocol.EnvOK || env.ID != id {
-			t.Fatalf("reply to %s = %s (id %s)", typ, env.Type, env.ID)
-		}
-	}
-	call("1", protocol.EnvDeclare, declareBody{Queue: "q"})
-	for i := 0; i < 3; i++ {
-		call(fmt.Sprintf("p%d", i), protocol.EnvPublish, publishBody{Queue: "q", Body: []byte(fmt.Sprintf("m%d", i))})
-	}
-	call("c", protocol.EnvConsume, consumeBody{Queue: "q", Prefetch: 4})
-
-	var tags []uint64
-	for i := 0; i < 3; i++ {
-		env, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if env.Type != protocol.EnvDelivery {
-			t.Fatalf("frame %d type = %q, want plain %q for a non-batch consumer", i, env.Type, protocol.EnvDelivery)
-		}
-		var d deliveryBody
-		if err := env.Decode(&d); err != nil {
-			t.Fatal(err)
-		}
-		if string(d.Body) != fmt.Sprintf("m%d", i) {
-			t.Fatalf("delivery %d body = %q", i, d.Body)
-		}
-		tags = append(tags, d.Tag)
-	}
-	for i, tag := range tags {
-		call(fmt.Sprintf("a%d", i), protocol.EnvAck, ackBody{Queue: "q", Tag: tag})
-	}
-}
-
-// --- interop: batching client against an old server ---
+// --- wire shape: what the client puts on the socket ---
 
 // recordingServer is a minimal frame-level broker stand-in that records
 // every envelope type it receives and replies OK, optionally after a delay
@@ -178,13 +119,12 @@ func (rs *recordingServer) recorded() []string {
 	return append([]string(nil), rs.types...)
 }
 
-// TestBatchedClientIdleSendsPlainPublish verifies the degrade-to-classic
-// guarantee: a batching-enabled client whose flush contains a single
-// message emits a plain publish envelope, wire-identical to an unbatched
-// client — so it interoperates with servers that predate publish_batch.
-func TestBatchedClientIdleSendsPlainPublish(t *testing.T) {
+// TestIdleClientSendsBatchOfOne verifies a publish on an idle client goes
+// out at once, as a publish_batch frame holding the one message: there is
+// no single-message publish on the wire any more.
+func TestIdleClientSendsBatchOfOne(t *testing.T) {
 	rs := startRecordingServer(t, 0)
-	c, err := DialBatched(rs.ln.Addr().String(), BatchConfig{MaxBatch: 32})
+	c, err := Dial(rs.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +132,9 @@ func TestBatchedClientIdleSendsPlainPublish(t *testing.T) {
 	if err := c.Publish("q", []byte("solo")); err != nil {
 		t.Fatal(err)
 	}
-	for _, typ := range rs.recorded() {
-		if typ == protocol.EnvPublishBatch {
-			t.Fatalf("idle batched client sent %s; a single-message flush must degrade to %s", typ, protocol.EnvPublish)
-		}
-	}
 	got := rs.recorded()
-	if len(got) != 1 || got[0] != protocol.EnvPublish {
-		t.Fatalf("recorded frames = %v, want exactly one %s", got, protocol.EnvPublish)
+	if len(got) != 1 || got[0] != protocol.EnvPublishBatch {
+		t.Fatalf("recorded frames = %v, want exactly one %s", got, protocol.EnvPublishBatch)
 	}
 }
 
@@ -209,7 +144,7 @@ func TestBatchedClientIdleSendsPlainPublish(t *testing.T) {
 // trips.
 func TestBatchedClientCoalescesConcurrentPublishes(t *testing.T) {
 	rs := startRecordingServer(t, 5*time.Millisecond)
-	c, err := DialBatched(rs.ln.Addr().String(), BatchConfig{MaxBatch: 64})
+	c, err := Dial(rs.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +201,7 @@ func TestChaosBatchedWirePartialAck(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := DialBatched(s.Addr(), BatchConfig{MaxBatch: n})
+	first, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +275,7 @@ func TestReconnectingBatchedConnSurvivesRestart(t *testing.T) {
 	addr := s.Addr()
 
 	rc, err := NewReconnecting(ReconnectConfig{Dial: func() (Conn, error) {
-		c, err := DialBatched(addr, BatchConfig{MaxBatch: 16})
+		c, err := Dial(addr)
 		if err != nil {
 			return nil, err
 		}

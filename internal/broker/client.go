@@ -11,27 +11,20 @@ import (
 	"globuscompute/internal/trace"
 )
 
-// BatchConfig tunes client-side wire batching (see docs/PERFORMANCE.md).
-// Batching is transparent to callers: Publish/Ack keep their signatures and
-// semantics; concurrent calls are coalesced into publish_batch / ack_batch
-// frames by a group-commit flusher.
-type BatchConfig struct {
-	// MaxBatch bounds messages per batch frame (default 64).
-	MaxBatch int
-	// FlushWindow, when > 0, delays each flush by this much so a burst can
-	// accumulate. Zero (the default) is pure group commit: the first message
-	// flushes immediately and whatever arrives while its reply is in flight
-	// forms the next batch — no added latency at low load, large batches at
-	// saturation.
-	FlushWindow time.Duration
-}
+// BatchConfig has no settings: every Client batches, with frames capped at
+// maxBatch.
+//
+// Deprecated: batching is not configurable; the type exists only so
+// callers of EnableBatching compile.
+type BatchConfig struct{}
 
-func (bc BatchConfig) withDefaults() BatchConfig {
-	if bc.MaxBatch <= 0 {
-		bc.MaxBatch = 64
-	}
-	return bc
-}
+// maxBatch bounds messages per publish_batch, ack_batch and delivery_batch
+// frame.
+const maxBatch = 64
+
+// requestTimeout bounds how long a caller waits for the broker to confirm a
+// request.
+const requestTimeout = 30 * time.Second
 
 // pendingPub is one Publish waiting inside the flusher queue.
 type pendingPub struct {
@@ -50,7 +43,10 @@ type pendingAck struct {
 
 // Client is a TCP connection to a broker Server. It multiplexes
 // request/reply exchanges and consumer delivery streams over one socket,
-// the way the Globus Compute agent holds a single AMQPS connection.
+// the way the Globus Compute agent holds a single AMQPS connection. Every
+// frame is binary, and publishes, acks and deliveries travel in batch
+// frames: concurrent Publish/Ack calls are coalesced by a group-commit
+// flusher, and the server batches whatever deliveries are ready.
 type Client struct {
 	conn net.Conn
 	w    *protocol.FrameWriter
@@ -62,29 +58,28 @@ type Client struct {
 	closed   bool
 	closeErr error
 
-	// wantBin (EnableBinary) advertises the binary codec on every declare/
-	// consume; binOK flips when the server confirms, after which the writer
-	// emits binary frames. Readers are always bilingual.
-	wantBin bool
-	binOK   bool
-
-	// Wire batching (EnableBatching). pubQ/ackQ are guarded by mu; flushCh
-	// wakes the flusher; done stops it.
-	batch   *BatchConfig
+	// Group commit: pubQ/ackQ are guarded by mu; flushCh wakes the flusher;
+	// done stops it.
 	pubQ    []pendingPub
 	ackQ    []pendingAck
 	flushCh chan struct{}
 	done    chan struct{}
 }
 
-// newClient wraps an established connection (plain or TLS).
+// newClient wraps an established connection (plain or TLS) and starts its
+// reader and flusher.
 func newClient(conn net.Conn) *Client {
-	return &Client{
+	c := &Client{
 		conn:    conn,
 		w:       protocol.NewFrameWriter(conn),
 		pending: make(map[string]chan error),
 		streams: make(map[string]*RemoteConsumer),
+		flushCh: make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
+	go c.readLoop()
+	go c.flusher(c.done)
+	return c
 }
 
 // Dial connects to a broker server at addr.
@@ -93,59 +88,21 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("broker: dial %s: %w", addr, err)
 	}
-	c := newClient(conn)
-	go c.readLoop()
-	return c, nil
+	return newClient(conn), nil
 }
 
-// DialBatched is Dial with wire batching enabled.
-func DialBatched(addr string, cfg BatchConfig) (*Client, error) {
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	c.EnableBatching(cfg)
-	return c, nil
-}
+// EnableBatching is a no-op: every Client batches publishes, acks and
+// deliveries.
+//
+// Deprecated: batching is no longer optional; callers can drop the call.
+func (c *Client) EnableBatching(BatchConfig) {}
 
-// EnableBatching turns on wire batching for publishes, acks, and deliveries
-// on this client. Call before issuing traffic; enabling twice is a no-op.
-// The server must understand batch envelopes (same-version server); against
-// an old server, leave batching off — every frame the unbatched client sends
-// is unchanged.
-func (c *Client) EnableBatching(cfg BatchConfig) {
-	cfg = cfg.withDefaults()
-	c.mu.Lock()
-	if c.batch != nil || c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.batch = &cfg
-	flushCh := make(chan struct{}, 1)
-	done := make(chan struct{})
-	c.flushCh, c.done = flushCh, done
-	c.mu.Unlock()
-	go c.flusher(cfg, flushCh, done)
-}
-
-// EnableBinary opts this client into the binary hot-path codec. Call before
-// issuing traffic: each Declare/Consume advertises the capability, and the
-// writer switches to binary frames once the server confirms (old servers
-// ignore the advertisement and the connection stays JSON). Safe to combine
-// with EnableBatching; the negotiated codec applies to batch frames too.
-func (c *Client) EnableBinary() {
-	c.mu.Lock()
-	c.wantBin = true
-	c.mu.Unlock()
-}
-
-// BinaryNegotiated reports whether the server confirmed the binary codec
-// for this connection.
-func (c *Client) BinaryNegotiated() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.binOK
-}
+// EnableBinary is a no-op: every Client speaks the binary frame codec from
+// its first frame.
+//
+// Deprecated: the binary codec is no longer negotiated; callers can drop
+// the call.
+func (c *Client) EnableBinary() {}
 
 // Close disconnects. Server-side, unacked deliveries are requeued.
 func (c *Client) Close() error {
@@ -160,8 +117,7 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// stopFlusher shuts the batching flusher down exactly once (idempotent; a
-// no-op when batching was never enabled).
+// stopFlusher shuts the flusher down exactly once.
 func (c *Client) stopFlusher() {
 	c.mu.Lock()
 	done := c.done
@@ -183,18 +139,6 @@ func (c *Client) readLoop() {
 		}
 		switch env.Type {
 		case protocol.EnvOK:
-			// A non-empty OK body is the server's codec confirmation: flip
-			// the writer to binary before completing the request so the next
-			// frame out already uses the negotiated codec.
-			if env.Bin != nil || len(env.Body) > 0 {
-				var ok okBody
-				if derr := env.Decode(&ok); derr == nil && ok.Bin {
-					c.w.EnableBinary()
-					c.mu.Lock()
-					c.binOK = true
-					c.mu.Unlock()
-				}
-			}
 			c.complete(env.ID, nil)
 		case protocol.EnvError:
 			var body errorBody
@@ -203,26 +147,14 @@ func (c *Client) readLoop() {
 				msg = body.Message
 			}
 			c.complete(env.ID, errors.New(msg))
-		case protocol.EnvDelivery:
-			var body deliveryBody
+		case protocol.EnvDeliveryBatch:
+			var body deliveryBatchBody
 			if derr := env.Decode(&body); derr != nil {
 				continue
 			}
 			// The send happens under the lock so Cancel's close of the
 			// channel cannot race it; the buffer (prefetch+1) exceeds the
 			// server's delivery window, so the send never blocks.
-			c.mu.Lock()
-			if rc := c.streams[body.Queue]; rc != nil {
-				rc.ch <- Message{Tag: body.Tag, Body: body.Body, Redelivered: body.Redelivered, Trace: env.Trace}
-			}
-			c.mu.Unlock()
-		case protocol.EnvDeliveryBatch:
-			var body deliveryBatchBody
-			if derr := env.Decode(&body); derr != nil {
-				continue
-			}
-			// Batched deliveries stay within the consumer's prefetch window,
-			// so like the single-delivery case these sends never block.
 			c.mu.Lock()
 			if rc := c.streams[body.Queue]; rc != nil {
 				for _, it := range body.Items {
@@ -276,34 +208,31 @@ func (c *Client) callTraced(typ string, body any, tc *trace.Context) error {
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	// The body rides as Envelope.Bin: a binary-negotiated writer encodes it
-	// structurally; a JSON writer marshals it through a pooled scratch
-	// buffer — the wire bytes there are identical to the old
-	// NewEnvelope(json.Marshal) path.
 	env := protocol.Envelope{Type: typ, ID: id, Trace: tc, Bin: body}
 	if err := c.w.Write(env); err != nil {
 		c.complete(id, nil)
 		return fmt.Errorf("broker: send %s: %w", typ, err)
 	}
-	select {
-	case err := <-ch:
-		return err
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("broker: %s timed out", typ)
-	}
+	return await(ch, typ)
 }
 
-// advertiseBin reports whether declare/consume requests should advertise
-// the binary codec.
-func (c *Client) advertiseBin() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wantBin
+// await waits for done to complete or requestTimeout to pass. The timer is
+// stopped as soon as the reply arrives: an unstopped timer would stay on
+// the heap for the whole timeout after every request.
+func await(done <-chan error, what string) error {
+	t := time.NewTimer(requestTimeout)
+	defer t.Stop()
+	select {
+	case err := <-done:
+		return err
+	case <-t.C:
+		return fmt.Errorf("broker: %s timed out", what)
+	}
 }
 
 // Declare creates a queue on the remote broker.
 func (c *Client) Declare(queue string) error {
-	return c.call(protocol.EnvDeclare, &declareBody{Queue: queue, Bin: c.advertiseBin()})
+	return c.call(protocol.EnvDeclare, &declareBody{Queue: queue})
 }
 
 // Publish appends body to the remote queue.
@@ -311,18 +240,21 @@ func (c *Client) Publish(queue string, body []byte) error {
 	return c.PublishTraced(queue, body, nil)
 }
 
-// PublishTraced appends body to the remote queue with a trace context on
-// the publish envelope; the server propagates it to the delivery. With
-// batching enabled the publish may be coalesced with concurrent ones into a
-// publish_batch frame; the call still blocks until the broker confirms.
+// PublishTraced appends body to the remote queue with a trace context that
+// the server propagates to the delivery. The publish is coalesced with
+// concurrent ones into a publish_batch frame; the call blocks until the
+// broker confirms.
 func (c *Client) PublishTraced(queue string, body []byte, tc *trace.Context) error {
+	p := pendingPub{queue: queue, body: body, tc: tc, done: make(chan error, 1)}
 	c.mu.Lock()
-	batching := c.batch != nil && !c.closed
-	c.mu.Unlock()
-	if batching {
-		return c.enqueuePub(queue, body, tc)
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClosed
 	}
-	return c.callTraced(protocol.EnvPublish, &publishBody{Queue: queue, Body: body}, tc)
+	c.pubQ = append(c.pubQ, p)
+	c.mu.Unlock()
+	signalFlush(c.flushCh)
+	return await(p.done, "batched publish")
 }
 
 // PublishBatch sends every body to one queue in a single publish_batch
@@ -335,26 +267,6 @@ func (c *Client) PublishBatch(queue string, bodies [][]byte, traces []*trace.Con
 	return c.call(protocol.EnvPublishBatch, &publishBatchBody{Queue: queue, Bodies: bodies, Traces: traces})
 }
 
-// enqueuePub hands a publish to the flusher and waits for its completion.
-func (c *Client) enqueuePub(queue string, body []byte, tc *trace.Context) error {
-	p := pendingPub{queue: queue, body: body, tc: tc, done: make(chan error, 1)}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.pubQ = append(c.pubQ, p)
-	flushCh := c.flushCh
-	c.mu.Unlock()
-	signalFlush(flushCh)
-	select {
-	case err := <-p.done:
-		return err
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("broker: batched publish timed out")
-	}
-}
-
 // enqueueAck hands an ack to the flusher and waits for its completion.
 func (c *Client) enqueueAck(queue string, tag uint64) error {
 	a := pendingAck{queue: queue, tag: tag, done: make(chan error, 1)}
@@ -364,15 +276,9 @@ func (c *Client) enqueueAck(queue string, tag uint64) error {
 		return ErrClosed
 	}
 	c.ackQ = append(c.ackQ, a)
-	flushCh := c.flushCh
 	c.mu.Unlock()
-	signalFlush(flushCh)
-	select {
-	case err := <-a.done:
-		return err
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("broker: batched ack timed out")
-	}
+	signalFlush(c.flushCh)
+	return await(a.done, "batched ack")
 }
 
 func signalFlush(ch chan struct{}) {
@@ -384,24 +290,16 @@ func signalFlush(ch chan struct{}) {
 
 // flusher is the group-commit loop: each wakeup drains everything queued,
 // groups it by queue, and sends publish_batch / ack_batch frames (a lone
-// message degrades to a plain publish/ack — identical to the unbatched
-// wire). While a batch's reply is in flight new calls accumulate, so batch
-// size adapts to offered load.
-func (c *Client) flusher(cfg BatchConfig, flushCh chan struct{}, done chan struct{}) {
+// message is a batch of one). The first message flushes immediately; while
+// a batch's reply is in flight new calls accumulate, so batch size adapts
+// to offered load without adding latency at low load.
+func (c *Client) flusher(done chan struct{}) {
 	for {
 		select {
 		case <-done:
 			c.failQueued(ErrClosed)
 			return
-		case <-flushCh:
-		}
-		if cfg.FlushWindow > 0 {
-			select {
-			case <-done:
-				c.failQueued(ErrClosed)
-				return
-			case <-time.After(cfg.FlushWindow):
-			}
+		case <-c.flushCh:
 		}
 		for {
 			c.mu.Lock()
@@ -411,8 +309,8 @@ func (c *Client) flusher(cfg BatchConfig, flushCh chan struct{}, done chan struc
 			if len(pubs) == 0 && len(acks) == 0 {
 				break
 			}
-			c.flushPubs(pubs, cfg.MaxBatch)
-			c.flushAcks(acks, cfg.MaxBatch)
+			c.flushPubs(pubs)
+			c.flushAcks(acks)
 		}
 	}
 }
@@ -431,82 +329,59 @@ func (c *Client) failQueued(err error) {
 	}
 }
 
-// flushPubs sends queued publishes grouped by queue, chunked at maxBatch,
-// preserving per-queue FIFO order.
-func (c *Client) flushPubs(pubs []pendingPub, maxBatch int) {
-	byQueue := make(map[string][]pendingPub)
-	var order []string
-	for _, p := range pubs {
-		if _, ok := byQueue[p.queue]; !ok {
-			order = append(order, p.queue)
-		}
-		byQueue[p.queue] = append(byQueue[p.queue], p)
-	}
-	for _, q := range order {
-		group := byQueue[q]
-		for len(group) > 0 {
-			n := len(group)
-			if n > maxBatch {
-				n = maxBatch
-			}
-			chunk := group[:n]
-			group = group[n:]
-			if n == 1 {
-				chunk[0].done <- c.callTraced(protocol.EnvPublish, &publishBody{Queue: q, Body: chunk[0].body}, chunk[0].tc)
-				continue
-			}
-			bodies := make([][]byte, n)
-			var traces []*trace.Context
-			for i, p := range chunk {
-				bodies[i] = p.body
-				if p.tc != nil && traces == nil {
-					traces = make([]*trace.Context, n)
+// flushPubs sends queued publishes as publish_batch frames.
+func (c *Client) flushPubs(pubs []pendingPub) {
+	inQueueChunks(pubs, func(p pendingPub) string { return p.queue }, func(q string, chunk []pendingPub) {
+		bodies := make([][]byte, len(chunk))
+		var traces []*trace.Context
+		for i, p := range chunk {
+			bodies[i] = p.body
+			if p.tc != nil {
+				if traces == nil {
+					traces = make([]*trace.Context, len(chunk))
 				}
-			}
-			if traces != nil {
-				for i, p := range chunk {
-					traces[i] = p.tc
-				}
-			}
-			err := c.call(protocol.EnvPublishBatch, &publishBatchBody{Queue: q, Bodies: bodies, Traces: traces})
-			for _, p := range chunk {
-				p.done <- err
+				traces[i] = p.tc
 			}
 		}
-	}
+		err := c.call(protocol.EnvPublishBatch, &publishBatchBody{Queue: q, Bodies: bodies, Traces: traces})
+		for _, p := range chunk {
+			p.done <- err
+		}
+	})
 }
 
-// flushAcks sends queued acks grouped by queue, chunked at maxBatch.
-func (c *Client) flushAcks(acks []pendingAck, maxBatch int) {
-	byQueue := make(map[string][]pendingAck)
-	var order []string
-	for _, a := range acks {
-		if _, ok := byQueue[a.queue]; !ok {
-			order = append(order, a.queue)
+// flushAcks sends queued acks as ack_batch frames.
+func (c *Client) flushAcks(acks []pendingAck) {
+	inQueueChunks(acks, func(a pendingAck) string { return a.queue }, func(q string, chunk []pendingAck) {
+		tags := make([]uint64, len(chunk))
+		for i, a := range chunk {
+			tags[i] = a.tag
 		}
-		byQueue[a.queue] = append(byQueue[a.queue], a)
+		err := c.call(protocol.EnvAckBatch, &ackBatchBody{Queue: q, Tags: tags})
+		for _, a := range chunk {
+			a.done <- err
+		}
+	})
+}
+
+// inQueueChunks groups items by queue and calls send with chunks of at
+// most maxBatch, queues in first-seen order and items in FIFO order within
+// a queue.
+func inQueueChunks[T any](items []T, queueOf func(T) string, send func(queue string, chunk []T)) {
+	byQueue := make(map[string][]T)
+	var order []string
+	for _, it := range items {
+		q := queueOf(it)
+		if _, ok := byQueue[q]; !ok {
+			order = append(order, q)
+		}
+		byQueue[q] = append(byQueue[q], it)
 	}
 	for _, q := range order {
-		group := byQueue[q]
-		for len(group) > 0 {
-			n := len(group)
-			if n > maxBatch {
-				n = maxBatch
-			}
-			chunk := group[:n]
+		for group := byQueue[q]; len(group) > 0; {
+			n := min(len(group), maxBatch)
+			send(q, group[:n])
 			group = group[n:]
-			if n == 1 {
-				chunk[0].done <- c.call(protocol.EnvAck, &ackBody{Queue: q, Tag: chunk[0].tag})
-				continue
-			}
-			tags := make([]uint64, n)
-			for i, a := range chunk {
-				tags[i] = a.tag
-			}
-			err := c.call(protocol.EnvAckBatch, &ackBatchBody{Queue: q, Tags: tags})
-			for _, a := range chunk {
-				a.done <- err
-			}
 		}
 	}
 }
@@ -531,8 +406,7 @@ type RemoteConsumer struct {
 }
 
 // Consume begins consuming the remote queue. Only one consumer per queue per
-// client connection is permitted (the server enforces this). When batching
-// is enabled the consumer opts into delivery_batch frames from the server.
+// client connection is permitted (the server enforces this).
 func (c *Client) Consume(queue string, prefetch int) (*RemoteConsumer, error) {
 	if prefetch <= 0 {
 		prefetch = 1
@@ -544,15 +418,8 @@ func (c *Client) Consume(queue string, prefetch int) (*RemoteConsumer, error) {
 		return nil, fmt.Errorf("broker: already consuming %q", queue)
 	}
 	c.streams[queue] = rc
-	batch := c.batch
 	c.mu.Unlock()
-	req := &consumeBody{Queue: queue, Prefetch: prefetch, Bin: c.advertiseBin()}
-	if batch != nil {
-		req.Batch = true
-		req.MaxBatch = batch.MaxBatch
-		req.FlushWindowUS = batch.FlushWindow.Microseconds()
-	}
-	if err := c.call(protocol.EnvConsume, req); err != nil {
+	if err := c.call(protocol.EnvConsume, &consumeBody{Queue: queue, Prefetch: prefetch}); err != nil {
 		c.mu.Lock()
 		delete(c.streams, queue)
 		c.mu.Unlock()
@@ -565,16 +432,10 @@ func (c *Client) Consume(queue string, prefetch int) (*RemoteConsumer, error) {
 // drops.
 func (rc *RemoteConsumer) Messages() <-chan Message { return rc.ch }
 
-// Ack acknowledges a delivery by tag. With batching enabled, concurrent
-// acks coalesce into ack_batch frames.
+// Ack acknowledges a delivery by tag. Concurrent acks coalesce into
+// ack_batch frames.
 func (rc *RemoteConsumer) Ack(tag uint64) error {
-	rc.c.mu.Lock()
-	batching := rc.c.batch != nil && !rc.c.closed
-	rc.c.mu.Unlock()
-	if batching {
-		return rc.c.enqueueAck(rc.queue, tag)
-	}
-	return rc.c.call(protocol.EnvAck, &ackBody{Queue: rc.queue, Tag: tag})
+	return rc.c.enqueueAck(rc.queue, tag)
 }
 
 // AckBatch acknowledges many tags in one ack_batch frame and one broker
@@ -588,12 +449,12 @@ func (rc *RemoteConsumer) AckBatch(tags []uint64) error {
 
 // Nack rejects a delivery; the server requeues it.
 func (rc *RemoteConsumer) Nack(tag uint64) error {
-	return rc.c.call(protocol.EnvNack, &ackBody{Queue: rc.queue, Tag: tag})
+	return rc.c.call(protocol.EnvNack, &nackBody{Queue: rc.queue, Tag: tag})
 }
 
 // Reject dead-letters a delivery to "<queue>.dlq" on the server.
 func (rc *RemoteConsumer) Reject(tag uint64) error {
-	return rc.c.call(protocol.EnvNack, &ackBody{Queue: rc.queue, Tag: tag, DeadLetter: true})
+	return rc.c.call(protocol.EnvNack, &nackBody{Queue: rc.queue, Tag: tag, DeadLetter: true})
 }
 
 // Cancel stops consuming: the server detaches the consumer (requeueing

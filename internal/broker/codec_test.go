@@ -3,15 +3,18 @@ package broker
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
+	"globuscompute/internal/protocol"
 	"globuscompute/internal/trace"
 )
 
 // roundTrip publishes n messages and consumes+acks them, failing on any
 // mismatch. It exercises publish, delivery, ack, and trace propagation over
-// whatever codec the connection negotiated.
+// the binary batched wire.
 func roundTrip(t *testing.T, pub, sub *Client, queue string, n int) {
 	t.Helper()
 	if err := pub.Declare(queue); err != nil {
@@ -45,48 +48,69 @@ func roundTrip(t *testing.T, pub, sub *Client, queue string, n int) {
 	}
 }
 
-func TestBinaryCodecNegotiated(t *testing.T) {
-	s, b := newTestServer(t)
+// TestClientWritesBinaryFromFirstFrame pins the single wire: nothing is
+// negotiated, so the very first frame a fresh client sends is a binary
+// envelope of the current version, and a full publish/deliver/ack round
+// trip with trace propagation works against the server.
+func TestClientWritesBinaryFromFirstFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	head := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		b := make([]byte, 6)
+		if _, err := io.ReadFull(conn, b); err == nil {
+			head <- b
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	go c.Ping() // never answered; only its first bytes matter
+	select {
+	case b := <-head:
+		if b[4] != 0xBF || b[5] != protocol.BinVersion {
+			t.Fatalf("first frame starts % x, want binary magic 0xbf version %d", b, protocol.BinVersion)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no frame from a fresh client")
+	}
+	c.Close()
+
+	s, _ := newTestServer(t)
 	pub, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	pub.EnableBinary()
 	sub, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	sub.EnableBinary()
-
 	roundTrip(t, pub, sub, "tasks.ep-bin", 10)
-	if !pub.BinaryNegotiated() {
-		t.Error("publisher did not negotiate binary")
-	}
-	// The subscriber negotiates on Consume.
-	if !sub.BinaryNegotiated() {
-		t.Error("subscriber did not negotiate binary")
-	}
-	if got := b.Metrics.Counter("codec_binary_conns").Value(); got < 2 {
-		t.Errorf("codec_binary_conns = %d, want >= 2", got)
-	}
 }
 
 func TestBinaryCodecWithBatching(t *testing.T) {
 	s, _ := newTestServer(t)
-	pub, err := DialBatched(s.Addr(), BatchConfig{MaxBatch: 16})
+	pub, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	pub.EnableBinary()
-	sub, err := DialBatched(s.Addr(), BatchConfig{MaxBatch: 16})
+	sub, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	sub.EnableBinary()
 
 	queue := "tasks.ep-binbatch"
 	if err := pub.Declare(queue); err != nil {
@@ -117,74 +141,102 @@ func TestBinaryCodecWithBatching(t *testing.T) {
 			t.Fatalf("timed out waiting for message %d", i)
 		}
 	}
-	if !pub.BinaryNegotiated() || !sub.BinaryNegotiated() {
-		t.Error("batched clients did not negotiate binary")
-	}
 }
 
-// TestBinaryClientJSONOnlyServer pins the old-server interop path: a client
-// that advertises the binary codec against a server that ignores the
-// capability must stay fully functional on JSON.
-func TestBinaryClientJSONOnlyServer(t *testing.T) {
-	s, _ := newTestServer(t)
-	s.DisableBinary = true
-	pub, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	pub.EnableBinary()
-	sub, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	sub.EnableBinary()
-
-	roundTrip(t, pub, sub, "tasks.ep-oldsrv", 10)
-	if pub.BinaryNegotiated() || sub.BinaryNegotiated() {
-		t.Error("negotiated binary against a JSON-only server")
-	}
-}
-
-// TestJSONClientBinaryServer pins the old-client interop path: a client that
-// never advertises the codec keeps a pure-JSON connection against a
-// binary-capable server.
+// TestJSONClientBinaryServer pins what a peer that predates the binary
+// wire gets now: its length-prefixed JSON frame is a decode error, and the
+// server drops the connection without replying.
 func TestJSONClientBinaryServer(t *testing.T) {
 	s, _ := newTestServer(t)
-	pub, err := Dial(s.Addr())
+	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pub.Close()
-	sub, err := Dial(s.Addr())
-	if err != nil {
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	payload := []byte(`{"type":"declare","id":"1","body":{"queue":"q"}}`)
+	frame := append([]byte{0, 0, 0, byte(len(payload))}, payload...)
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
-
-	roundTrip(t, pub, sub, "tasks.ep-oldcli", 10)
-	if pub.BinaryNegotiated() || sub.BinaryNegotiated() {
-		t.Error("negotiated binary without advertising it")
+	if _, err := protocol.NewFrameReader(conn).Read(); err != io.EOF {
+		t.Fatalf("reply to a JSON frame: err = %v, want the connection closed (io.EOF)", err)
 	}
 }
 
-// TestReconnectKeepsNegotiatedCodec drops the connection under a
-// ReconnectingConn whose Dial enables the binary codec, and verifies the
-// replacement connection re-negotiates it and redelivers the unacked
-// message.
-func TestReconnectKeepsNegotiatedCodec(t *testing.T) {
+// TestServerRejectsSingleMessageFrames speaks the batch-only wire by hand:
+// the retired single-message publish and ack requests are unknown to the
+// server, and a lone delivery arrives as a delivery_batch of one.
+func TestServerRejectsSingleMessageFrames(t *testing.T) {
 	s, _ := newTestServer(t)
-	var (
-		lastClient *Client
-	)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	r := protocol.NewFrameReader(conn)
+	w := protocol.NewFrameWriter(conn)
+	call := func(id, typ string, body any) protocol.Envelope {
+		t.Helper()
+		if err := w.Write(protocol.MustEnvelope(typ, id, body)); err != nil {
+			t.Fatal(err)
+		}
+		env, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.ID != id {
+			t.Fatalf("reply to %s has id %q, want %q", typ, env.ID, id)
+		}
+		return env
+	}
+	if env := call("1", protocol.EnvDeclare, declareBody{Queue: "q"}); env.Type != protocol.EnvOK {
+		t.Fatalf("declare reply = %s", env.Type)
+	}
+	for _, typ := range []string{"publish", "ack"} {
+		if env := call(typ, typ, map[string]any{"queue": "q", "tag": 1, "body": "eA=="}); env.Type != protocol.EnvError {
+			t.Fatalf("%s reply = %s, want %s", typ, env.Type, protocol.EnvError)
+		}
+	}
+	if env := call("p", protocol.EnvPublishBatch, publishBatchBody{Queue: "q", Bodies: [][]byte{[]byte("solo")}}); env.Type != protocol.EnvOK {
+		t.Fatalf("publish_batch reply = %s", env.Type)
+	}
+	if env := call("c", protocol.EnvConsume, consumeBody{Queue: "q", Prefetch: 4}); env.Type != protocol.EnvOK {
+		t.Fatalf("consume reply = %s", env.Type)
+	}
+	env, err := r.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d deliveryBatchBody
+	if env.Type != protocol.EnvDeliveryBatch {
+		t.Fatalf("delivery frame type = %q, want %q", env.Type, protocol.EnvDeliveryBatch)
+	}
+	if err := env.Decode(&d); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Items) != 1 || string(d.Items[0].Body) != "solo" {
+		t.Fatalf("delivery_batch items = %+v, want one \"solo\"", d.Items)
+	}
+	if env := call("a", protocol.EnvAckBatch, ackBatchBody{Queue: "q", Tags: []uint64{d.Items[0].Tag}}); env.Type != protocol.EnvOK {
+		t.Fatalf("ack_batch reply = %s", env.Type)
+	}
+}
+
+// TestReconnectKeepsBinaryBatchedWire drops the connection under a
+// ReconnectingConn and verifies the replacement client, which speaks the
+// same binary batched wire from its first frame, gets the unacked message
+// redelivered and carries on.
+func TestReconnectKeepsBinaryBatchedWire(t *testing.T) {
+	s, _ := newTestServer(t)
+	var lastClient *Client
 	rc, err := NewReconnecting(ReconnectConfig{
 		Dial: func() (Conn, error) {
 			c, err := Dial(s.Addr())
 			if err != nil {
 				return nil, err
 			}
-			c.EnableBinary()
 			lastClient = c
 			return c.AsConn(), nil
 		},
@@ -202,10 +254,6 @@ func TestReconnectKeepsNegotiatedCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lastClient.BinaryNegotiated() {
-		t.Fatal("first connection did not negotiate binary")
-	}
-
 	if err := rc.Publish(queue, []byte("before-drop")); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +268,7 @@ func TestReconnectKeepsNegotiatedCodec(t *testing.T) {
 	}
 
 	// Kill the connection without acking: the broker requeues, the
-	// subscription resubscribes on a fresh (re-negotiated) connection, and
+	// subscription resubscribes on a fresh connection, and
 	// the message arrives again flagged Redelivered.
 	first := lastClient
 	first.Close()
@@ -235,8 +283,8 @@ func TestReconnectKeepsNegotiatedCodec(t *testing.T) {
 	if err := sub.Ack(m.Tag); err != nil {
 		t.Fatal(err)
 	}
-	if lastClient == first || !lastClient.BinaryNegotiated() {
-		t.Error("reconnected client did not re-negotiate binary")
+	if lastClient == first {
+		t.Error("subscription did not move to a new client")
 	}
 	if err := rc.Publish(queue, []byte("after-drop")); err != nil {
 		t.Fatal(err)

@@ -16,6 +16,10 @@ type Conn interface {
 	// (on the envelope for TCP connections), so consumers can continue the
 	// publisher's trace. A nil context is equivalent to Publish.
 	PublishTraced(queue string, body []byte, tc *trace.Context) error
+	// PublishBatch publishes N messages to one queue with one confirmation
+	// (one wire frame over TCP, one lock round trip in process). traces may
+	// be nil or parallel to bodies.
+	PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error
 	Subscribe(queue string, prefetch int) (Subscription, error)
 	// Delete removes a queue, dropping pending messages (used to clean up
 	// per-executor group queues and deregistered endpoints).
@@ -26,6 +30,8 @@ type Conn interface {
 type Subscription interface {
 	Messages() <-chan Message
 	Ack(tag uint64) error
+	// AckBatch acknowledges N tags at once.
+	AckBatch(tags []uint64) error
 	Nack(tag uint64) error
 	// Reject dead-letters a poison message to "<queue>.dlq".
 	Reject(tag uint64) error
@@ -33,52 +39,17 @@ type Subscription interface {
 	Cancel() error
 }
 
-// BatchPublisher is the optional Conn capability of publishing N messages
-// to one queue in a single wire frame / lock round trip. All Conns in this
-// package implement it; third-party wrappers (fault injectors) may not.
-type BatchPublisher interface {
-	PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error
-}
-
-// BatchAcker is the optional Subscription capability of acknowledging N
-// tags at once.
-type BatchAcker interface {
-	AckBatch(tags []uint64) error
-}
-
-// PublishBatchOn publishes a batch through c's fast path when it has one,
-// falling back to sequential PublishTraced otherwise (wrapped Conns).
+// PublishBatchOn publishes a batch on c.
+//
+// Deprecated: PublishBatch is part of Conn; call c.PublishBatch.
 func PublishBatchOn(c Conn, queue string, bodies [][]byte, traces []*trace.Context) error {
-	if bp, ok := c.(BatchPublisher); ok {
-		return bp.PublishBatch(queue, bodies, traces)
-	}
-	for i, body := range bodies {
-		var tc *trace.Context
-		if i < len(traces) {
-			tc = traces[i]
-		}
-		if err := c.PublishTraced(queue, body, tc); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.PublishBatch(queue, bodies, traces)
 }
 
-// AckBatchOn acknowledges tags through s's batch path when it has one,
-// falling back to per-tag Acks (first error wins, remaining tags still
-// acked — the broker requeues whatever stays unacknowledged).
-func AckBatchOn(s Subscription, tags []uint64) error {
-	if ba, ok := s.(BatchAcker); ok {
-		return ba.AckBatch(tags)
-	}
-	var firstErr error
-	for _, tag := range tags {
-		if err := s.Ack(tag); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+// AckBatchOn acknowledges tags on s.
+//
+// Deprecated: AckBatch is part of Subscription; call s.AckBatch.
+func AckBatchOn(s Subscription, tags []uint64) error { return s.AckBatch(tags) }
 
 // localConn adapts *Broker to Conn.
 type localConn struct{ b *Broker }

@@ -262,7 +262,7 @@ func (r *ReconnectingConn) PublishTraced(queue string, body []byte, tc *trace.Co
 // is at-least-once: a retry after a mid-batch connection loss may duplicate
 // messages that already landed, which consumers must tolerate anyway.
 func (r *ReconnectingConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
-	return r.op("publish_batch", func(c Conn) error { return PublishBatchOn(c, queue, bodies, traces) })
+	return r.op("publish_batch", func(c Conn) error { return c.PublishBatch(queue, bodies, traces) })
 }
 
 func (r *ReconnectingConn) Delete(queue string) error {
@@ -393,7 +393,7 @@ func (s *resilientSub) Reject(tag uint64) error { return s.current().Reject(tag)
 
 // AckBatch acknowledges a batch of tags on the current stream. Stale tags
 // (from before a reconnect) fail and their messages simply redeliver.
-func (s *resilientSub) AckBatch(tags []uint64) error { return AckBatchOn(s.current(), tags) }
+func (s *resilientSub) AckBatch(tags []uint64) error { return s.current().AckBatch(tags) }
 
 // Cancel permanently detaches the consumer; unacked deliveries requeue on
 // the broker.

@@ -104,7 +104,5 @@ func DialTLS(addr string, roots *x509.CertPool) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("broker: tls dial %s: %w", addr, err)
 	}
-	c := newClient(conn)
-	go c.readLoop()
-	return c, nil
+	return newClient(conn), nil
 }

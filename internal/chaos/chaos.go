@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -104,10 +105,13 @@ func (i *Injector) SetDisabled(v bool) {
 // ConnFaults configures fault injection on a broker.Conn. Probabilities are
 // per operation in [0,1].
 type ConnFaults struct {
-	// PublishFailRate fails Publish/PublishTraced with ErrInjected.
+	// PublishFailRate fails Publish/PublishTraced with ErrInjected. The
+	// rate is per message: a batch is one frame with one confirmation, so it
+	// draws one decision, failing with the chance that any of its messages
+	// would have alone (1-(1-rate)^n).
 	PublishFailRate float64
-	// PublishDelay sleeps before each publish selected by PublishDelayRate
-	// (payload-delivery delay injection).
+	// PublishDelay sleeps before each publish (or batch) selected by
+	// PublishDelayRate (payload-delivery delay injection).
 	PublishDelay     time.Duration
 	PublishDelayRate float64
 	// DropRate drops the subscription on delivery: the message is still
@@ -139,13 +143,29 @@ func (c *faultyConn) Publish(queue string, body []byte) error {
 }
 
 func (c *faultyConn) PublishTraced(queue string, body []byte, tc *trace.Context) error {
+	if err := c.publishFault(1); err != nil {
+		return err
+	}
+	return c.inner.PublishTraced(queue, body, tc)
+}
+
+func (c *faultyConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+	if err := c.publishFault(len(bodies)); err != nil {
+		return err
+	}
+	return c.inner.PublishBatch(queue, bodies, traces)
+}
+
+// publishFault draws the delay and fail decisions for one frame carrying n
+// messages.
+func (c *faultyConn) publishFault(n int) error {
 	if c.inj.Decide("conn.publish_delay", c.f.PublishDelayRate) {
 		time.Sleep(c.f.PublishDelay)
 	}
-	if c.inj.Decide("conn.publish_fail", c.f.PublishFailRate) {
+	if c.inj.Decide("conn.publish_fail", 1-math.Pow(1-c.f.PublishFailRate, float64(n))) {
 		return ErrInjected
 	}
-	return c.inner.PublishTraced(queue, body, tc)
+	return nil
 }
 
 func (c *faultyConn) Subscribe(queue string, prefetch int) (broker.Subscription, error) {
@@ -187,6 +207,7 @@ func (s *faultySub) pump() {
 
 func (s *faultySub) Messages() <-chan broker.Message { return s.out }
 func (s *faultySub) Ack(tag uint64) error            { return s.inner.Ack(tag) }
+func (s *faultySub) AckBatch(tags []uint64) error    { return s.inner.AckBatch(tags) }
 func (s *faultySub) Nack(tag uint64) error           { return s.inner.Nack(tag) }
 func (s *faultySub) Reject(tag uint64) error         { return s.inner.Reject(tag) }
 func (s *faultySub) Cancel() error                   { return s.inner.Cancel() }

@@ -77,6 +77,55 @@ func TestConnPublishFault(t *testing.T) {
 	}
 }
 
+// TestConnPublishBatchFault checks a batch draws one fail decision for all
+// its messages (it is one frame with one confirmation), and that a batch
+// that passes reaches the broker whole and is acknowledged through the
+// wrapped subscription's AckBatch.
+func TestConnPublishBatchFault(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	inj := NewInjector(7)
+	failing := WrapConn(broker.LocalConn(b), inj, ConnFaults{PublishFailRate: 1.0})
+	if err := failing.Declare("q"); err != nil {
+		t.Fatal(err)
+	}
+	bodies := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	if err := failing.PublishBatch("q", bodies, nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
+	}
+	if got := inj.Fired("conn.publish_fail"); got != 1 {
+		t.Errorf("fired = %d for one batch, want 1", got)
+	}
+
+	clean := WrapConn(broker.LocalConn(b), inj, ConnFaults{})
+	if err := clean.PublishBatch("q", bodies, nil); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := clean.Subscribe("q", len(bodies))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	var tags []uint64
+	for i := range bodies {
+		select {
+		case m := <-sub.Messages():
+			if string(m.Body) != string(bodies[i]) {
+				t.Fatalf("message %d = %q, want %q", i, m.Body, bodies[i])
+			}
+			tags = append(tags, m.Tag)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("timed out waiting for message %d", i)
+		}
+	}
+	if err := sub.AckBatch(tags); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := b.Unacked("q"); err != nil || n != 0 {
+		t.Errorf("unacked after AckBatch = %d (%v), want 0", n, err)
+	}
+}
+
 func TestConnDropSeversSubscriptionAndRequeues(t *testing.T) {
 	b := broker.New()
 	defer b.Close()

@@ -198,9 +198,6 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			// Negotiate the binary hot-path codec on every (re)dial: the
-			// recovery guarantees must hold on the compact encoding too.
-			bc.EnableBinary()
 			return bc.AsConn(), nil
 		},
 	})

@@ -78,15 +78,11 @@ type Config struct {
 	// wakeup (default Prefetch; 1 restores pre-pipeline single-task intake).
 	IntakeBatch int
 	// EgressMaxBatch caps results coalesced into one publish_batch flush
-	// (default 64; 1 restores per-result publishes). A flush holding a single
-	// result always degrades to a plain traced publish, so batching adds no
-	// envelope change — and no latency — at idle.
+	// (default 64; 1 restores per-result publishes). Egress is pure group
+	// commit: the first result flushes immediately and whatever lands while
+	// its publish is in flight forms the next batch, so batching adds no
+	// latency at idle.
 	EgressMaxBatch int
-	// EgressFlushWindow, when > 0, delays each egress flush by this much so a
-	// burst can accumulate. Zero (the default) is pure group commit: the
-	// first result flushes immediately and whatever lands while its publish
-	// is in flight forms the next batch.
-	EgressFlushWindow time.Duration
 	// DisableAdaptivePrefetch pins the per-wakeup intake budget at
 	// IntakeBatch. By default the budget scales with the engine's free
 	// capacity (FreeWorkers/PendingTasks) and intake pauses entirely while
@@ -558,8 +554,8 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 		}
 	}
 
-	// Acknowledge the whole drain at once; a lone tag stays on the classic
-	// single-ack envelope. Batch acks fire without blocking the loop: an
+	// Acknowledge the whole drain at once; a lone tag takes the plain Ack
+	// call. Batch acks fire without blocking the loop: an
 	// ack's only job is to move the delivery window, and a round trip spent
 	// waiting on its reply is a round trip the next drain isn't running. The
 	// small flight bound keeps unacked tags from piling up unboundedly when
@@ -574,7 +570,7 @@ func (a *Agent) processDeliveries(batch []broker.Message) {
 		go func(tags []uint64) {
 			defer a.acks.Done()
 			defer func() { <-a.ackSem }()
-			_ = broker.AckBatchOn(a.sub, tags)
+			_ = a.sub.AckBatch(tags)
 		}(tags)
 	}
 	if received > 0 {
@@ -607,12 +603,12 @@ const egressFlightCap = 4
 
 // egressLoop is the group-commit result flusher: the first queued result
 // wakes it, everything buffered up to EgressMaxBatch coalesces into one
-// publish_batch, and a lone result degrades to a plain traced publish so
-// chaos wrappers and old brokers see the classic envelope. While flushes are
-// in flight new results accumulate, so batch size adapts to load without
-// adding latency at idle. Results within a flush preserve completion order;
-// concurrent flushes may interleave (tasks are independent and the task
-// state machine does not rely on cross-result ordering).
+// publish_batch, and a lone result takes the plain traced publish. While
+// flushes are in flight new results accumulate, so batch size adapts to
+// load without adding latency at idle. Results within a flush preserve
+// completion order; concurrent flushes may interleave (tasks are
+// independent and the task state machine does not rely on cross-result
+// ordering).
 func (a *Agent) egressLoop() {
 	defer a.wg.Done()
 	maxN := a.cfg.EgressMaxBatch
@@ -623,9 +619,6 @@ func (a *Agent) egressLoop() {
 		res, ok := <-a.egress
 		if !ok {
 			return
-		}
-		if a.cfg.EgressFlushWindow > 0 {
-			time.Sleep(a.cfg.EgressFlushWindow)
 		}
 		batch := make([]protocol.Result, 0, maxN)
 		batch = append(batch, res)
@@ -670,8 +663,7 @@ var resultBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 const maxPooledResultBuf = 1 << 20
 
 // publishResults marshals and publishes one egress flush. A single result
-// uses the classic PublishTraced path; larger flushes go through the conn's
-// batch capability (with a sequential fallback for wrapped conns).
+// takes PublishTraced; larger flushes go out as one PublishBatch.
 func (a *Agent) publishResults(batch []protocol.Result) {
 	defer a.egressBacklog.Add(-int64(len(batch)))
 	queue := resultQueue(a.cfg.EndpointID)
@@ -731,7 +723,7 @@ func (a *Agent) publishResults(batch []protocol.Result) {
 	if len(bodies) == 1 {
 		err = a.cfg.Conn.PublishTraced(queue, bodies[0], traces[0])
 	} else {
-		err = broker.PublishBatchOn(a.cfg.Conn, queue, bodies, traces)
+		err = a.cfg.Conn.PublishBatch(queue, bodies, traces)
 	}
 	if err != nil {
 		// A batch flush succeeds or fails as a unit, so one flaky publish

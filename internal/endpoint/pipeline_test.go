@@ -16,8 +16,7 @@ import (
 )
 
 // fakeSub is a deterministic Subscription: deliveries are preloaded into a
-// buffered channel and every acknowledgement is recorded. It has no AckBatch
-// method, modeling an old broker / capability-less wrapper.
+// buffered channel and every acknowledgement is recorded.
 type fakeSub struct {
 	msgs chan broker.Message
 
@@ -65,19 +64,16 @@ func (s *fakeSub) ackedTags() []uint64 {
 	return out
 }
 
-// batchSub adds the AckBatch capability on top of fakeSub.
-type batchSub struct{ *fakeSub }
-
-func (s *batchSub) AckBatch(tags []uint64) error {
+func (s *fakeSub) AckBatch(tags []uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ackBatches = append(s.ackBatches, append([]uint64(nil), tags...))
 	return nil
 }
 
-// fakeConn records publishes. Like fakeSub it deliberately lacks the batch
-// capability; batchConn layers it on. hold, when set, blocks every publish
-// until released so a test can pile results behind in-flight flushes.
+// fakeConn records single and batch publishes. hold, when set, blocks every
+// publish until released so a test can pile results behind in-flight
+// flushes.
 type fakeConn struct {
 	sub broker.Subscription
 
@@ -143,10 +139,7 @@ func (c *fakeConn) totalPublished() int {
 	return n
 }
 
-// batchConn adds the PublishBatch capability.
-type batchConn struct{ *fakeConn }
-
-func (c *batchConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
+func (c *fakeConn) PublishBatch(queue string, bodies [][]byte, traces []*trace.Context) error {
 	c.gate()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -215,11 +208,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // checks one intake wakeup drains them all: a single ack_batch round trip
 // carrying every tag, and one intake_batches tick.
 func TestPipelineBatchedIntakeAcksInOneBatch(t *testing.T) {
-	sub := &batchSub{newFakeSub(32)}
-	conn := &batchConn{&fakeConn{sub: sub}}
+	sub := newFakeSub(32)
+	conn := &fakeConn{sub: sub}
 	const n = 8
 	for i := 0; i < n; i++ {
-		loadTask(t, sub.fakeSub, uint64(100+i), fmt.Sprintf(`"p%d"`, i))
+		loadTask(t, sub, uint64(100+i), fmt.Sprintf(`"p%d"`, i))
 	}
 	agent := pipelineAgent(t, conn, instantRunner, func(c *Config) {
 		c.DisableAdaptivePrefetch = true // fixed budget => one deterministic drain
@@ -251,9 +244,9 @@ func TestPipelineBatchedIntakeAcksInOneBatch(t *testing.T) {
 // publish_batch flushes rather than going out one by one — while the lone
 // first result still uses the classic traced publish envelope.
 func TestPipelineEgressGroupCommit(t *testing.T) {
-	sub := &batchSub{newFakeSub(8)}
+	sub := newFakeSub(8)
 	release := make(chan struct{})
-	conn := &batchConn{&fakeConn{sub: sub, hold: release}}
+	conn := &fakeConn{sub: sub, hold: release}
 	agent := pipelineAgent(t, conn, instantRunner, nil)
 
 	agent.enqueueResult(protocol.Result{TaskID: protocol.NewUUID(), State: protocol.StateSuccess})
@@ -296,50 +289,15 @@ func batchSizes(batches [][][]byte) []int {
 	return out
 }
 
-// TestPipelineOldBrokerInterop runs the pipelined agent against a conn and
-// subscription with no batch capabilities at all: acks degrade to per-tag
-// Ack, flushes degrade to per-result traced publishes, nothing is lost.
-func TestPipelineOldBrokerInterop(t *testing.T) {
-	sub := newFakeSub(32)
-	conn := &fakeConn{sub: sub}
-	const n = 10
-	for i := 0; i < n; i++ {
-		loadTask(t, sub, uint64(200+i), fmt.Sprintf(`"p%d"`, i))
-	}
-	agent := pipelineAgent(t, conn, instantRunner, nil)
-
-	waitFor(t, "all results published", func() bool { return conn.totalPublished() == n })
-	singles, batches := conn.counts()
-	if len(batches) != 0 {
-		t.Errorf("batch publishes on a capability-less conn: %v", batchSizes(batches))
-	}
-	if singles != n {
-		t.Errorf("classic publishes = %d, want %d", singles, n)
-	}
-	waitFor(t, "all tags acked", func() bool { return len(sub.ackedTags()) == n })
-	seen := map[uint64]bool{}
-	for _, tag := range sub.ackedTags() {
-		seen[tag] = true
-	}
-	for i := 0; i < n; i++ {
-		if !seen[uint64(200+i)] {
-			t.Errorf("tag %d never acked", 200+i)
-		}
-	}
-	if got := agent.Metrics.Counter("results_published").Value(); got != n {
-		t.Errorf("results_published = %d, want %d", got, n)
-	}
-}
-
 // TestPipelineMalformedInBatchDeadLetters mixes a poison body into an intake
 // batch: the poison is rejected to the DLQ exactly once, the good tasks run
 // and ack, and nothing redelivers forever.
 func TestPipelineMalformedInBatchDeadLetters(t *testing.T) {
-	sub := &batchSub{newFakeSub(16)}
-	conn := &batchConn{&fakeConn{sub: sub}}
-	loadTask(t, sub.fakeSub, 1, `"before"`)
+	sub := newFakeSub(16)
+	conn := &fakeConn{sub: sub}
+	loadTask(t, sub, 1, `"before"`)
 	sub.msgs <- broker.Message{Tag: 2, Body: []byte("not json")}
-	loadTask(t, sub.fakeSub, 3, `"after"`)
+	loadTask(t, sub, 3, `"after"`)
 	agent := pipelineAgent(t, conn, instantRunner, func(c *Config) {
 		c.DisableAdaptivePrefetch = true
 	})
@@ -364,7 +322,7 @@ func TestPipelineMalformedInBatchDeadLetters(t *testing.T) {
 		}
 	}
 	// A task submitted after the poison still flows end to end.
-	loadTask(t, sub.fakeSub, 4, `"postmortem"`)
+	loadTask(t, sub, 4, `"postmortem"`)
 	waitFor(t, "post-poison task published", func() bool { return conn.totalPublished() == 3 })
 }
 
@@ -373,8 +331,8 @@ func TestPipelineMalformedInBatchDeadLetters(t *testing.T) {
 // pending queue stays near the high-water mark instead of absorbing the
 // whole queue, and once the gate opens everything completes.
 func TestAdaptivePrefetchBoundsPending(t *testing.T) {
-	sub := &batchSub{newFakeSub(64)}
-	conn := &batchConn{&fakeConn{sub: sub}}
+	sub := newFakeSub(64)
+	conn := &fakeConn{sub: sub}
 	gate := make(chan struct{})
 	gated := func(ctx context.Context, task protocol.Task, w engine.WorkerInfo) protocol.Result {
 		select {
@@ -419,7 +377,7 @@ func TestAdaptivePrefetchBoundsPending(t *testing.T) {
 	// this test is about the steady-state bound.
 	waitFor(t, "worker registration", func() bool { return eng.Stats().TotalWorkers >= 1 })
 	for i := 0; i < n; i++ {
-		loadTask(t, sub.fakeSub, uint64(i+1), fmt.Sprintf(`"p%d"`, i))
+		loadTask(t, sub, uint64(i+1), fmt.Sprintf(`"p%d"`, i))
 	}
 
 	// Let intake run against the saturated engine, tracking the deepest

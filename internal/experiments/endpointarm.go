@@ -3,7 +3,10 @@
 // delivery, agent intake, engine execution, result egress — and compares the
 // pre-PR per-task hot path ("ep-single": one delivery, one ack, one result
 // publish per task) against the pipelined path ("ep-pipelined": batched
-// intake, engine batch submit, group-commit result egress).
+// intake, engine batch submit, group-commit result egress). Over TCP both
+// agents ride the one broker client, which batches on the wire, so the tcp
+// ep-single arm measures the per-task agent on batch frames rather than the
+// per-frame wire it measured before that client became the only one.
 package experiments
 
 import (
@@ -47,11 +50,7 @@ func endpointArm(transport string, pipelined bool, offered, n int) (SaturationPo
 	}
 
 	// Three conns — agent, driver, consumer — so one side's socket never
-	// serializes another's. The driver and consumer (the measurement
-	// harness) always ride wire-batched conns, identical in both arms; the
-	// agent's conn is the variable — classic per-frame for ep-single, the
-	// PR-3 batched wire protocol for ep-pipelined, since batched delivery
-	// frames are part of the pipelined hot path.
+	// serializes another's.
 	var addr string
 	if transport == "tcp" {
 		srv, err := broker.Serve(b, "127.0.0.1:0")
@@ -61,33 +60,27 @@ func endpointArm(transport string, pipelined bool, offered, n int) (SaturationPo
 		defer srv.Close()
 		addr = srv.Addr()
 	}
-	newConn := func(batched bool) (broker.Conn, func(), error) {
+	newConn := func() (broker.Conn, func(), error) {
 		if transport == "inproc" {
 			return broker.LocalConn(b), func() {}, nil
 		}
-		var bc *broker.Client
-		var err error
-		if batched {
-			bc, err = broker.DialBatched(addr, broker.BatchConfig{MaxBatch: 64})
-		} else {
-			bc, err = broker.Dial(addr)
-		}
+		bc, err := broker.Dial(addr)
 		if err != nil {
 			return nil, nil, err
 		}
 		return bc.AsConn(), func() { bc.Close() }, nil
 	}
-	agentConn, closeAgent, err := newConn(pipelined)
+	agentConn, closeAgent, err := newConn()
 	if err != nil {
 		return SaturationPoint{}, err
 	}
 	defer closeAgent()
-	driverConn, closeDriver, err := newConn(true)
+	driverConn, closeDriver, err := newConn()
 	if err != nil {
 		return SaturationPoint{}, err
 	}
 	defer closeDriver()
-	consumerConn, closeConsumer, err := newConn(true)
+	consumerConn, closeConsumer, err := newConn()
 	if err != nil {
 		return SaturationPoint{}, err
 	}
@@ -146,7 +139,7 @@ func endpointArm(transport string, pipelined bool, offered, n int) (SaturationPo
 		go func() {
 			defer ackWG.Done()
 			defer func() { <-ackSem }()
-			_ = broker.AckBatchOn(sub, tags)
+			_ = sub.AckBatch(tags)
 		}()
 	}
 	go func() {
@@ -216,7 +209,7 @@ func endpointArm(transport string, pipelined bool, offered, n int) (SaturationPo
 		go func(bodies [][]byte) {
 			defer pubWG.Done()
 			defer func() { <-pubSem }()
-			if err := broker.PublishBatchOn(driverConn, taskQ, bodies, nil); err != nil {
+			if err := driverConn.PublishBatch(taskQ, bodies, nil); err != nil {
 				select {
 				case pubErr <- err:
 				default:

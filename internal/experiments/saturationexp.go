@@ -1,8 +1,9 @@
 // Saturation: the PR-3 high-throughput task-path benchmark. It drives the
 // message broker — the substrate every task and result crosses twice — at
-// a paced offered load and at saturation, with and without wire batching,
-// in-process and over framed TCP, and reports achieved tasks/s plus p50/p99
-// publish-to-consume latency. gc-bench -exp saturation -json writes the
+// a paced offered load and at saturation, in-process (with and without
+// batched publish/ack calls) and over framed TCP (whose client always
+// batches), and reports achieved tasks/s plus p50/p99 publish-to-consume
+// latency. gc-bench -exp saturation -json writes the
 // structured result (BENCH_pr3.json) so the speedup is recorded alongside
 // the code that produced it.
 package experiments
@@ -21,10 +22,10 @@ import (
 
 // SaturationPoint is one (transport, mode, offered-load) measurement.
 type SaturationPoint struct {
-	Transport    string  `json:"transport"`      // "inproc" | "tcp"
-	Mode         string  `json:"mode"`           // "unbatched" | "batched"
-	Batch        int     `json:"batch"`          // messages per publish/ack round trip
-	OfferedPerS  int     `json:"offered_per_s"`  // 0 = saturation (publish as fast as possible)
+	Transport    string  `json:"transport"`     // "inproc" | "tcp"
+	Mode         string  `json:"mode"`          // "unbatched" | "batched"
+	Batch        int     `json:"batch"`         // messages per publish/ack round trip
+	OfferedPerS  int     `json:"offered_per_s"` // 0 = saturation (publish as fast as possible)
 	Tasks        int     `json:"tasks"`
 	AchievedPerS float64 `json:"achieved_tasks_per_s"`
 	P50US        float64 `json:"p50_us"`
@@ -56,9 +57,9 @@ type SaturationResult struct {
 	TasksPerArm    int               `json:"tasks_per_arm"`
 	BatchSize      int               `json:"batch_size"`
 	Points         []SaturationPoint `json:"points"`
-	// TCPSpeedup and InprocSpeedup compare batched vs unbatched achieved
-	// tasks/s at saturation (before/after for this PR's batching work).
-	TCPSpeedup    float64 `json:"tcp_speedup_at_saturation"`
+	// InprocSpeedup compares batched vs unbatched achieved tasks/s at
+	// saturation on the in-process broker (before/after for batched broker
+	// calls).
 	InprocSpeedup float64 `json:"inproc_speedup_at_saturation"`
 	// TCPEndpointSpeedup and InprocEndpointSpeedup compare the pipelined
 	// endpoint agent (batched intake + engine batch submit + group-commit
@@ -75,10 +76,6 @@ type SaturationResult struct {
 	// same path with admission off, both at saturation. 1.0 = free; the
 	// acceptance bar is >= 0.95 (<= 5% overhead).
 	AdmissionCost float64 `json:"admission_on_vs_off_at_saturation"`
-	// CodecSpeedup compares the binary hot-path frame codec against the
-	// JSON encoding on the batched TCP arm at saturation (PR 8; the
-	// acceptance bar is >= 1.2x).
-	CodecSpeedup float64 `json:"codec_on_vs_off_at_saturation"`
 	// DedupByteReduction is server egress bytes without the endpoint dedup
 	// cache divided by bytes with it, for a 16-way fan-out of one large
 	// content-addressed payload (PR 8; the acceptance bar is >= 5x).
@@ -102,11 +99,11 @@ type SaturationResult struct {
 // for >= 32).
 const satBatch = 32
 
-// Saturation measures broker throughput and latency across the four
-// transport x mode arms at a paced load and at saturation. n is the task
-// count per arm (floored at 500 for stable percentiles); routeFleet sizes
-// the simulated fleet behind the route-random/route-p2c placement arms
-// (0 = default, see RouteFleetOptions).
+// Saturation measures broker throughput and latency across the inproc
+// unbatched/batched and tcp batched arms at a paced load and at saturation.
+// n is the task count per arm (floored at 500 for stable percentiles);
+// routeFleet sizes the simulated fleet behind the route-random/route-p2c
+// placement arms (0 = default, see RouteFleetOptions).
 func Saturation(n, routeFleet int) (Report, *SaturationResult, error) {
 	if n < 500 {
 		n = 500
@@ -138,14 +135,15 @@ func Saturation(n, routeFleet int) (Report, *SaturationResult, error) {
 		run     func(offered int) (SaturationPoint, error)
 	}
 	var specs []armSpec
-	for _, transport := range []string{"inproc", "tcp"} {
-		for _, batch := range []int{1, satBatch} {
-			transport, batch := transport, batch
-			for _, offered := range []int{paced, 0} {
-				specs = append(specs, armSpec{offered, func(offered int) (SaturationPoint, error) {
-					return satArm(transport, batch, offered, n)
-				}})
-			}
+	for _, arm := range []struct {
+		transport string
+		batch     int
+	}{{"inproc", 1}, {"inproc", satBatch}, {"tcp", satBatch}} {
+		arm := arm
+		for _, offered := range []int{paced, 0} {
+			specs = append(specs, armSpec{offered, func(offered int) (SaturationPoint, error) {
+				return satArm(arm.transport, arm.batch, offered, n)
+			}})
 		}
 	}
 	// Endpoint arms: the same paced/saturation grid through a full agent,
@@ -183,16 +181,6 @@ func Saturation(n, routeFleet int) (Report, *SaturationResult, error) {
 			}})
 		}
 	}
-	// Codec arms: the batched TCP workload with the binary hot-path frame
-	// encoding negotiated vs the JSON encoding.
-	for _, binaryOn := range []bool{false, true} {
-		binaryOn := binaryOn
-		for _, offered := range []int{paced, 0} {
-			specs = append(specs, armSpec{offered, func(offered int) (SaturationPoint, error) {
-				return codecArm(binaryOn, offered, n)
-			}})
-		}
-	}
 	// Route arms: skew-blind vs power-of-two-choices placement over the
 	// simulated fleet at equal offered load. Paced by construction (the
 	// point is latency under per-endpoint overload, not peak throughput).
@@ -224,9 +212,6 @@ func Saturation(n, routeFleet int) (Report, *SaturationResult, error) {
 		}
 		return 0
 	}
-	if v := sat("tcp", "unbatched", 1); v > 0 {
-		res.TCPSpeedup = sat("tcp", "batched", satBatch) / v
-	}
 	if v := sat("inproc", "unbatched", 1); v > 0 {
 		res.InprocSpeedup = sat("inproc", "batched", satBatch) / v
 	}
@@ -241,9 +226,6 @@ func Saturation(n, routeFleet int) (Report, *SaturationResult, error) {
 	}
 	if v := sat("inproc", "admit-off", satBatch); v > 0 {
 		res.AdmissionCost = sat("inproc", "admit-on", satBatch) / v
-	}
-	if v := sat("tcp", "codec-json", satBatch); v > 0 {
-		res.CodecSpeedup = sat("tcp", "codec-bin", satBatch) / v
 	}
 	// Route arms are paced-only; look them up by mode alone.
 	routePt := func(mode string) SaturationPoint {
@@ -266,19 +248,18 @@ func Saturation(n, routeFleet int) (Report, *SaturationResult, error) {
 	}
 	res.DedupByteReduction = float64(bytesOff) / float64(bytesOn)
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("unbatched = one publish/ack round trip per task (before); batched = %d tasks per frame (after)", satBatch),
-		"tcp arms cross the framed-TCP broker protocol; inproc arms measure the sharded queue map alone",
-		"ep-single = per-task agent hot path (before); ep-pipelined = batched intake + engine batch submit + group-commit egress (after)",
+		fmt.Sprintf("unbatched = one publish/ack call per task (before); batched = %d tasks per call (after)", satBatch),
+		"tcp arms cross the framed-TCP broker protocol (binary batch frames only); inproc arms measure the sharded queue map alone",
+		"ep-single = per-task agent hot path (before); ep-pipelined = batched intake + engine batch submit + group-commit egress (after); over tcp both agents ride the one batching client, so tcp ep-single measures the per-task agent on batch frames",
 		"wal-on = every publish journaled + fsynced (group commit) before enqueue; wal-off = in-memory broker",
 		"admit-on = per-tenant token-bucket admission + in-flight + fairshare accounting on the submit front door; admit-off = same path, no admission",
-		"codec-bin = binary hot-path frame encoding negotiated at declare/consume; codec-json = same batched TCP path on the JSON encoding",
 		fmt.Sprintf("dedup fan-out: 16-way fetch of one 1MiB payload moved %d bytes without the endpoint cache, %d with it", bytesOff, bytesOn),
 		fmt.Sprintf("route arms: %d simulated endpoints (2%% run 10x the 1s base service time) behind one routing group at 0.4 tasks/s/endpoint (4x a slow endpoint's capacity); route-random picks blind, route-p2c scores heartbeat load with power-of-two-choices", routeFleet),
 	)
 
 	rep := Report{
 		ID:     "saturation",
-		Title:  "broker saturation: wire batching vs per-task round trips",
+		Title:  "broker saturation: batched vs per-task calls",
 		Header: fmt.Sprintf("%-8s %-10s %6s %10s %14s %10s %10s", "transport", "mode", "batch", "offered/s", "achieved/s", "p50(us)", "p99(us)"),
 	}
 	for _, p := range res.Points {
@@ -290,13 +271,11 @@ func Saturation(n, routeFleet int) (Report, *SaturationResult, error) {
 			p.Transport, p.Mode, p.Batch, offered, p.AchievedPerS, p.P50US, p.P99US))
 	}
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("tcp speedup at saturation: %.1fx batched(%d) vs unbatched", res.TCPSpeedup, satBatch),
-		fmt.Sprintf("inproc speedup at saturation: %.1fx", res.InprocSpeedup),
+		fmt.Sprintf("inproc speedup at saturation: %.1fx batched(%d) vs unbatched", res.InprocSpeedup, satBatch),
 		fmt.Sprintf("tcp endpoint speedup at saturation: %.1fx pipelined vs single", res.TCPEndpointSpeedup),
 		fmt.Sprintf("inproc endpoint speedup at saturation: %.1fx", res.InprocEndpointSpeedup),
 		fmt.Sprintf("wal durability cost at saturation: wal-on achieves %.0f%% of wal-off throughput", 100*res.WALCost),
 		fmt.Sprintf("admission cost at saturation: admit-on achieves %.0f%% of admit-off throughput (bar: >= 95%%)", 100*res.AdmissionCost),
-		fmt.Sprintf("codec speedup at saturation: %.1fx binary vs json on the batched tcp arm (bar: >= 1.2x)", res.CodecSpeedup),
 		fmt.Sprintf("dedup byte reduction: %.1fx fewer bytes moved for a 16-way fan-out of identical input (bar: >= 5x)", res.DedupByteReduction),
 		fmt.Sprintf("route p99 improvement over %d simulated endpoints: p2c p99 is %.1fx better than random at equal offered load (bar: >= 2x)", routeFleet, res.RouteP2CImprovement),
 		fmt.Sprintf("route throughput ratio: p2c achieves %.2fx random's tasks/s (bar: >= 1x)", res.RouteP2CThroughput))
@@ -323,12 +302,7 @@ func satArm(transport string, batch, offered, n int) (SaturationPoint, error) {
 			return SaturationPoint{}, err
 		}
 		defer srv.Close()
-		var bc *broker.Client
-		if batch > 1 {
-			bc, err = broker.DialBatched(srv.Addr(), broker.BatchConfig{MaxBatch: batch})
-		} else {
-			bc, err = broker.Dial(srv.Addr())
-		}
+		bc, err := broker.Dial(srv.Addr())
 		if err != nil {
 			return SaturationPoint{}, err
 		}
@@ -426,7 +400,7 @@ func measureArm(conn broker.Conn, sub broker.Subscription, queue, transport, mod
 			latencies = append(latencies, time.Since(time.Unix(0, ts)))
 			tags = append(tags, m.Tag)
 			if len(tags) >= batch || len(latencies) == n {
-				_ = broker.AckBatchOn(sub, tags)
+				_ = sub.AckBatch(tags)
 				tags = tags[:0]
 			}
 			if len(latencies) == n {
@@ -469,7 +443,7 @@ func measureArm(conn broker.Conn, sub broker.Subscription, queue, transport, mod
 			for j := range bodies {
 				bodies[j] = stamp()
 			}
-			if err := broker.PublishBatchOn(conn, queue, bodies, nil); err != nil {
+			if err := conn.PublishBatch(queue, bodies, nil); err != nil {
 				return SaturationPoint{}, 0, err
 			}
 		}

@@ -4,46 +4,40 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 
 	"globuscompute/internal/trace"
 )
 
-// Binary hot-path codec. JSON envelopes spend most of the broker's CPU
-// budget at saturation on marshal/unmarshal and base64-inflate every task
-// body by 4/3. This codec replaces the envelope with a compact binary frame
-// for the hot-path types (publish/publish_batch, delivery/delivery_batch,
-// ack/ack_batch, nack, heartbeat, ok, error): varint lengths, raw bytes for
-// message bodies, raw 16-byte UUIDs inside well-known queue names, and an
-// inline trace context. Everything else (consume, declare, task, result,
-// ...) still rides binary framing with its JSON body carried verbatim, so
-// any envelope can cross either codec.
-//
-// The outer transport is unchanged: a 4-byte big-endian length prefix. A
-// binary payload starts with the magic byte 0xBF, which can never begin a
-// JSON envelope ('{'), so FrameReader decodes both formats without
-// negotiation. Writing binary IS negotiated (see docs/PROTOCOL.md): a peer
-// only enables binary writes after the other side has advertised it can
-// read them, so JSON-only peers keep working unchanged.
+// Binary envelope codec: the only encoding on every framed connection (the
+// broker wire and the engine's interchange link). Each frame is a 4-byte
+// big-endian length prefix followed by a binary envelope: the magic byte
+// 0xBF, a version byte, a type code, flags, an optional correlation ID and
+// trace context, and the body. The broker wire bodies (publish_batch,
+// delivery_batch, ack_batch, nack, error) are encoded field by field:
+// varint lengths, raw bytes for message bodies, raw 16-byte UUIDs inside
+// well-known queue names, hex-packed trace IDs. Every other body (consume,
+// declare, task, result, ...) is JSON carried verbatim, so any envelope can
+// cross the wire.
 
-// binMagic is the first payload byte of every binary frame. JSON frames
-// always begin with '{' (0x7B).
+// binMagic is the first payload byte of every binary frame. It can never
+// begin a JSON envelope ('{'), so a peer that writes JSON frames fails
+// loudly at its first frame instead of being misparsed.
 const binMagic = 0xBF
 
 // BinVersion is the binary frame format version. Readers reject frames with
 // a version they do not know; bumping it is a wire change that old peers
-// refuse loudly instead of misparsing.
-const BinVersion = 1
+// refuse loudly instead of misparsing. Version 2 dropped the single-message
+// publish/delivery/ack frames and the codec-negotiation reply body.
+const BinVersion = 2
 
 // Envelope type codes. Code 0 means "type string follows" and covers every
 // envelope type without a code (including ones added later).
 const (
 	binTypeOther byte = iota
-	binTypePublish
 	binTypePublishBatch
-	binTypeDelivery
 	binTypeDeliveryBatch
-	binTypeAck
 	binTypeAckBatch
 	binTypeNack
 	binTypeHeartbeat
@@ -57,11 +51,8 @@ const (
 )
 
 var binTypeCode = map[string]byte{
-	EnvPublish:       binTypePublish,
 	EnvPublishBatch:  binTypePublishBatch,
-	EnvDelivery:      binTypeDelivery,
 	EnvDeliveryBatch: binTypeDeliveryBatch,
-	EnvAck:           binTypeAck,
 	EnvAckBatch:      binTypeAckBatch,
 	EnvNack:          binTypeNack,
 	EnvHeartbeat:     binTypeHeartbeat,
@@ -74,11 +65,8 @@ var binTypeCode = map[string]byte{
 }
 
 var binTypeName = [binTypeMax]string{
-	binTypePublish:       EnvPublish,
 	binTypePublishBatch:  EnvPublishBatch,
-	binTypeDelivery:      EnvDelivery,
 	binTypeDeliveryBatch: EnvDeliveryBatch,
-	binTypeAck:           EnvAck,
 	binTypeAckBatch:      EnvAckBatch,
 	binTypeNack:          EnvNack,
 	binTypeHeartbeat:     EnvHeartbeat,
@@ -281,7 +269,7 @@ func appendBinaryEnvelope(buf *bytes.Buffer, env Envelope) error {
 	structured := env.Bin != nil && binBodySupported(env.Bin)
 	raw := env.Body
 	if env.Bin != nil && !structured {
-		b, err := marshalBody(env.Bin)
+		b, err := json.Marshal(env.Bin)
 		if err != nil {
 			return err
 		}
@@ -318,8 +306,8 @@ func appendBinaryEnvelope(buf *bytes.Buffer, env Envelope) error {
 }
 
 // EncodeBinaryEnvelope renders env as a standalone binary frame payload
-// (no length prefix) — the exact bytes a binary-enabled FrameWriter puts
-// after the 4-byte header. Used by tests and the codec fuzzers.
+// (no length prefix) — the exact bytes a FrameWriter puts after the 4-byte
+// header. Used by tests and the codec fuzzers.
 func EncodeBinaryEnvelope(env Envelope) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := appendBinaryEnvelope(&buf, env); err != nil {
@@ -331,8 +319,7 @@ func EncodeBinaryEnvelope(env Envelope) ([]byte, error) {
 // binBodySupported reports whether v has a structured binary encoding.
 func binBodySupported(v any) bool {
 	switch v.(type) {
-	case *PublishBody, *PublishBatchBody, *DeliveryBody, *DeliveryBatchBody,
-		*AckBody, *AckBatchBody, *ErrorBody, *OKBody:
+	case *PublishBatchBody, *DeliveryBatchBody, *NackBody, *AckBatchBody, *ErrorBody:
 		return true
 	}
 	return false
@@ -340,9 +327,6 @@ func binBodySupported(v any) bool {
 
 func encodeBinBody(w *binWriter, v any) error {
 	switch b := v.(type) {
-	case *PublishBody:
-		w.queue(b.Queue)
-		w.bytesNil(b.Body)
 	case *PublishBatchBody:
 		w.queue(b.Queue)
 		if b.Bodies == nil {
@@ -366,11 +350,6 @@ func encodeBinBody(w *binWriter, v any) error {
 				w.traceCtx(tc)
 			}
 		}
-	case *DeliveryBody:
-		w.queue(b.Queue)
-		w.uvarint(b.Tag)
-		w.bytesNil(b.Body)
-		w.bool01(b.Redelivered)
 	case *DeliveryBatchBody:
 		w.queue(b.Queue)
 		if b.Items == nil {
@@ -394,7 +373,7 @@ func encodeBinBody(w *binWriter, v any) error {
 				}
 			}
 		}
-	case *AckBody:
+	case *NackBody:
 		w.queue(b.Queue)
 		w.uvarint(b.Tag)
 		w.bool01(b.DeadLetter)
@@ -410,8 +389,6 @@ func encodeBinBody(w *binWriter, v any) error {
 		}
 	case *ErrorBody:
 		w.str(b.Message)
-	case *OKBody:
-		w.bool01(b.Bin)
 	default:
 		return fmt.Errorf("protocol: no binary encoding for %T", v)
 	}
@@ -672,16 +649,6 @@ func DecodeBinaryEnvelope(p []byte) (Envelope, error) {
 
 func decodeBinBody(r *binReader, code byte) (any, error) {
 	switch code {
-	case binTypePublish:
-		b := &PublishBody{}
-		var err error
-		if b.Queue, err = r.queue(); err != nil {
-			return nil, err
-		}
-		if b.Body, err = r.bytesNil(); err != nil {
-			return nil, err
-		}
-		return b, nil
 	case binTypePublishBatch:
 		b := &PublishBatchBody{}
 		var err error
@@ -720,22 +687,6 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 			}
 		}
 		return b, nil
-	case binTypeDelivery:
-		b := &DeliveryBody{}
-		var err error
-		if b.Queue, err = r.queue(); err != nil {
-			return nil, err
-		}
-		if b.Tag, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if b.Body, err = r.bytesNil(); err != nil {
-			return nil, err
-		}
-		if b.Redelivered, err = r.bool01(); err != nil {
-			return nil, err
-		}
-		return b, nil
 	case binTypeDeliveryBatch:
 		b := &DeliveryBatchBody{}
 		var err error
@@ -769,8 +720,8 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 			}
 		}
 		return b, nil
-	case binTypeAck, binTypeNack:
-		b := &AckBody{}
+	case binTypeNack:
+		b := &NackBody{}
 		var err error
 		if b.Queue, err = r.queue(); err != nil {
 			return nil, err
@@ -805,13 +756,6 @@ func decodeBinBody(r *binReader, code byte) (any, error) {
 		b := &ErrorBody{}
 		var err error
 		if b.Message, err = r.str(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	case binTypeOK:
-		b := &OKBody{}
-		var err error
-		if b.Bin, err = r.bool01(); err != nil {
 			return nil, err
 		}
 		return b, nil

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"globuscompute/internal/trace"
 )
@@ -25,11 +24,11 @@ type Envelope struct {
 	// wire format is decodable unchanged).
 	Trace *trace.Context  `json:"trace,omitempty"`
 	Body  json.RawMessage `json:"body,omitempty"`
-	// Bin, when non-nil, is the pre-parsed body (a *PublishBody,
-	// *DeliveryBatchBody, ...). Writers encode it directly — structurally on
-	// a binary connection, marshalled into Body on a JSON one — and binary
-	// reads land hot-path bodies here so Decode can copy without a JSON
-	// round trip. Call sites that set Bin are codec-agnostic.
+	// Bin, when non-nil, is the pre-parsed body (a *PublishBatchBody,
+	// *DeliveryBatchBody, ...). Writers encode the broker wire bodies
+	// structurally (anything else is marshalled to JSON and carried as the
+	// body), and reads land those bodies here so Decode can copy without a
+	// JSON round trip.
 	Bin any `json:"-"`
 }
 
@@ -37,23 +36,20 @@ type Envelope struct {
 const (
 	EnvTask      = "task"      // broker -> endpoint, interchange -> manager
 	EnvResult    = "result"    // worker -> ... -> broker
-	EnvAck       = "ack"       // consumer acknowledgement
-	EnvNack      = "nack"      // consumer rejection (requeue)
+	EnvNack      = "nack"      // consumer rejection (requeue or dead-letter)
 	EnvHeartbeat = "heartbeat" // liveness
 	EnvRegister  = "register"  // manager registration with interchange
 	EnvCapacity  = "capacity"  // manager advertises free worker slots
 	EnvConsume   = "consume"   // broker client: begin consuming a queue
-	EnvPublish   = "publish"   // broker client: publish to a queue
 	EnvDeclare   = "declare"   // broker client: declare a queue
-	EnvDelivery  = "delivery"  // broker -> consumer: a delivered message
 	EnvError     = "error"     // protocol-level error report
 	EnvOK        = "ok"        // generic success reply
 	EnvDrain     = "drain"     // manager: stop accepting, finish inflight
 	EnvShutdown  = "shutdown"  // orderly termination
 
-	// Multi-message envelopes amortize the per-frame round trip on the task
-	// hot path. Peers that predate them simply never send them; a plain
-	// publish/delivery/ack remains valid and is decoded identically.
+	// Messages cross the broker wire only in batches: every publish, every
+	// delivery and every ack is a batch frame, a lone message a batch of
+	// one.
 	EnvPublishBatch  = "publish_batch"  // broker client: publish N messages to one queue
 	EnvDeliveryBatch = "delivery_batch" // broker -> consumer: N deliveries in one frame
 	EnvAckBatch      = "ack_batch"      // consumer: acknowledge N tags in one frame
@@ -98,7 +94,7 @@ func (e Envelope) Decode(v any) error {
 		if copyBinBody(e.Bin, v) {
 			return nil
 		}
-		b, err := marshalBody(e.Bin)
+		b, err := json.Marshal(e.Bin)
 		if err != nil {
 			return fmt.Errorf("protocol: decode %s envelope: %w", e.Type, err)
 		}
@@ -115,18 +111,8 @@ func (e Envelope) Decode(v any) error {
 // to the JSON route.
 func copyBinBody(src, dst any) bool {
 	switch s := src.(type) {
-	case *PublishBody:
-		if d, ok := dst.(*PublishBody); ok {
-			*d = *s
-			return true
-		}
 	case *PublishBatchBody:
 		if d, ok := dst.(*PublishBatchBody); ok {
-			*d = *s
-			return true
-		}
-	case *DeliveryBody:
-		if d, ok := dst.(*DeliveryBody); ok {
 			*d = *s
 			return true
 		}
@@ -135,8 +121,8 @@ func copyBinBody(src, dst any) bool {
 			*d = *s
 			return true
 		}
-	case *AckBody:
-		if d, ok := dst.(*AckBody); ok {
+	case *NackBody:
+		if d, ok := dst.(*NackBody); ok {
 			*d = *s
 			return true
 		}
@@ -160,27 +146,18 @@ func copyBinBody(src, dst any) bool {
 			*d = *s
 			return true
 		}
-	case *OKBody:
-		if d, ok := dst.(*OKBody); ok {
-			*d = *s
-			return true
-		}
 	}
 	return false
 }
 
-// marshalBody JSON-encodes a pre-parsed body.
-func marshalBody(v any) (json.RawMessage, error) {
-	return json.Marshal(v)
-}
-
-// Normalize returns the envelope with Bin materialized into Body, so
-// envelopes decoded from either codec compare equal.
+// Normalize returns the envelope with Bin materialized into Body: the JSON
+// view of the envelope, which the codec fuzzers use as the reference
+// semantics of the binary encoding.
 func (e Envelope) Normalize() (Envelope, error) {
 	if e.Bin == nil {
 		return e, nil
 	}
-	b, err := marshalBody(e.Bin)
+	b, err := json.Marshal(e.Bin)
 	if err != nil {
 		return e, err
 	}
@@ -191,23 +168,20 @@ func (e Envelope) Normalize() (Envelope, error) {
 
 // encodeBufPool recycles the per-frame encode buffers across every
 // FrameWriter in the process, so steady-state encoding allocates nothing
-// beyond what encoding/json needs internally. Buffers that grew past 1 MiB
-// are dropped rather than pooled to keep a single huge payload from pinning
-// memory.
+// beyond the frame itself. Buffers that grew past 1 MiB are dropped rather
+// than pooled to keep a single huge payload from pinning memory.
 var encodeBufPool = sync.Pool{
 	New: func() any { return new(bytes.Buffer) },
 }
 
 const pooledBufLimit = 1 << 20
 
-// FrameWriter writes length-prefixed envelopes — JSON by default, the
-// binary hot-path codec once EnableBinary is called (after negotiation). It
+// FrameWriter writes length-prefixed binary envelopes (see binframe.go). It
 // is safe for concurrent use: the engine multiplexes many logical streams
 // over one manager connection.
 type FrameWriter struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	bin atomic.Bool
+	mu sync.Mutex
+	w  *bufio.Writer
 }
 
 // NewFrameWriter wraps w.
@@ -215,67 +189,22 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 	return &FrameWriter{w: bufio.NewWriter(w)}
 }
 
-// EnableBinary switches subsequent writes to the binary codec. Call only
-// after the peer has advertised (or confirmed) that it decodes binary
-// frames; readers are always bilingual, so flipping mid-stream is safe.
-func (fw *FrameWriter) EnableBinary() { fw.bin.Store(true) }
-
-// BinaryEnabled reports whether writes use the binary codec.
-func (fw *FrameWriter) BinaryEnabled() bool { return fw.bin.Load() }
-
 // encodeFrame renders env (header + payload) into a pooled buffer. The
 // caller must return the buffer with putEncodeBuf.
-func encodeFrame(env Envelope, bin bool) (*bytes.Buffer, error) {
+func encodeFrame(env Envelope) (*bytes.Buffer, error) {
 	buf := encodeBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if bin {
-		if err := appendBinaryEnvelope(buf, env); err != nil {
-			putEncodeBuf(buf)
-			return nil, err
-		}
-		n := buf.Len() - 4
-		if n > MaxFrame {
-			putEncodeBuf(buf)
-			return nil, ErrFrameTooLarge
-		}
-		binary.BigEndian.PutUint32(buf.Bytes()[:4], uint32(n))
-		return buf, nil
-	}
-	// JSON path: a pre-parsed Bin body is marshalled into Body through a
-	// second pooled scratch buffer, so setting Bin at call sites costs no
-	// more than the old json.Marshal-into-NewEnvelope pattern (and the
-	// scratch is reused across frames).
-	var bodyBuf *bytes.Buffer
-	if env.Bin != nil && env.Body == nil {
-		bodyBuf = encodeBufPool.Get().(*bytes.Buffer)
-		bodyBuf.Reset()
-		if err := json.NewEncoder(bodyBuf).Encode(env.Bin); err != nil {
-			putEncodeBuf(bodyBuf)
-			putEncodeBuf(buf)
-			return nil, fmt.Errorf("protocol: marshal envelope body: %w", err)
-		}
-		b := bodyBuf.Bytes()
-		env.Body = b[:len(b)-1] // drop Encode's trailing newline
-	}
-	enc := json.NewEncoder(buf)
-	err := enc.Encode(env)
-	if bodyBuf != nil {
-		putEncodeBuf(bodyBuf)
-	}
-	if err != nil {
+	if err := appendBinaryEnvelope(buf, env); err != nil {
 		putEncodeBuf(buf)
-		return nil, fmt.Errorf("protocol: marshal frame: %w", err)
+		return nil, err
 	}
-	// Encoder.Encode appends a newline; it is not part of the frame.
-	b := buf.Bytes()
-	n := buf.Len() - 4 - 1
+	n := buf.Len() - 4
 	if n > MaxFrame {
 		putEncodeBuf(buf)
 		return nil, ErrFrameTooLarge
 	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	buf.Truncate(4 + n)
+	binary.BigEndian.PutUint32(buf.Bytes()[:4], uint32(n))
 	return buf, nil
 }
 
@@ -285,11 +214,11 @@ func putEncodeBuf(buf *bytes.Buffer) {
 	}
 }
 
-// Write encodes env as a 4-byte big-endian length followed by JSON, and
-// flushes. Encoding happens outside the writer lock (in a pooled buffer) so
-// concurrent writers only serialize on the actual socket write.
+// Write encodes env as a 4-byte big-endian length followed by the binary
+// envelope, and flushes. Encoding happens outside the writer lock (in a
+// pooled buffer) so concurrent writers only serialize on the socket write.
 func (fw *FrameWriter) Write(env Envelope) error {
-	buf, err := encodeFrame(env, fw.bin.Load())
+	buf, err := encodeFrame(env)
 	if err != nil {
 		return err
 	}
@@ -314,9 +243,8 @@ func (fw *FrameWriter) WriteAll(envs []Envelope) error {
 			putEncodeBuf(b)
 		}
 	}()
-	bin := fw.bin.Load()
 	for _, env := range envs {
-		buf, err := encodeFrame(env, bin)
+		buf, err := encodeFrame(env)
 		if err != nil {
 			return err
 		}
@@ -332,12 +260,12 @@ func (fw *FrameWriter) WriteAll(envs []Envelope) error {
 	return fw.w.Flush()
 }
 
-// FrameReader reads length-prefixed JSON envelopes. Not safe for concurrent
-// use; each connection has a single reader goroutine.
+// FrameReader reads length-prefixed binary envelopes. Not safe for
+// concurrent use; each connection has a single reader goroutine.
 type FrameReader struct {
 	r *bufio.Reader
-	// buf is reused across Reads. Safe because json.Unmarshal copies every
-	// byte it retains (json.RawMessage included) out of the input.
+	// buf is reused across Reads. Safe because DecodeBinaryEnvelope copies
+	// every byte it retains out of the input.
 	buf []byte
 }
 
@@ -347,7 +275,9 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // Read returns the next envelope. io.EOF is returned unwrapped at a clean
-// stream end.
+// stream end; a frame that is not a binary envelope (a JSON frame from a
+// peer that predates the binary wire, say) fails with an error wrapping
+// ErrBadFrame.
 func (fr *FrameReader) Read() (Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
@@ -367,25 +297,14 @@ func (fr *FrameReader) Read() (Envelope, error) {
 	if _, err := io.ReadFull(fr.r, buf); err != nil {
 		return Envelope{}, fmt.Errorf("protocol: short frame: %w", err)
 	}
-	var env Envelope
-	if n > 0 && buf[0] == binMagic {
-		// Binary frame: readers need no negotiation — 0xBF can never begin
-		// a JSON envelope. DecodeBinaryEnvelope copies everything it
-		// retains out of the reused buffer.
-		var err error
-		if env, err = DecodeBinaryEnvelope(buf); err != nil {
-			if n > pooledBufLimit {
-				fr.buf = nil
-			}
-			return Envelope{}, err
-		}
-	} else if err := json.Unmarshal(buf, &env); err != nil {
-		return Envelope{}, fmt.Errorf("protocol: bad frame: %w", err)
-	}
+	env, err := DecodeBinaryEnvelope(buf)
 	// Frames over the pooling limit are one-off payload spills; do not let
 	// them pin the reader's reusable buffer.
 	if n > pooledBufLimit {
 		fr.buf = nil
+	}
+	if err != nil {
+		return Envelope{}, err
 	}
 	return env, nil
 }

@@ -25,7 +25,7 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x02{}"))
 	// Binary frames: a valid one (length prefix + payload), a bare magic
 	// byte, and a corrupt version.
-	if p, err := EncodeBinaryEnvelope(Envelope{Type: EnvAck, Bin: &AckBody{Queue: "q", Tag: 7}}); err == nil {
+	if p, err := EncodeBinaryEnvelope(Envelope{Type: EnvAckBatch, Bin: &AckBatchBody{Queue: "q", Tags: []uint64{7}}}); err == nil {
 		framed := append([]byte{0, 0, 0, byte(len(p))}, p...)
 		f.Add(framed)
 	}
@@ -55,10 +55,11 @@ func FuzzDecodePayload(f *testing.F) {
 	})
 }
 
-// FuzzCodecEquivalence checks the two wire encodings agree: an envelope
-// pushed through the binary codec decodes to exactly the value the JSON
-// codec produces for the same envelope — including nil-vs-empty bodies,
-// queue-name compression, and trace contexts that are not well-formed hex.
+// FuzzCodecEquivalence checks the binary codec against the JSON view of an
+// envelope, which stays the reference semantics of Envelope: an envelope
+// pushed through the binary codec decodes to exactly the value a JSON round
+// trip produces — including nil-vs-empty bodies, queue-name compression,
+// and trace contexts that are not well-formed hex.
 func FuzzCodecEquivalence(f *testing.F) {
 	f.Add(byte(0), "tasks.queue", uint64(0), []byte(`payload`), false, "17", "abcdef", "0123")
 	f.Add(byte(0), "tasks."+string(NewUUID()), uint64(9), []byte{}, true, "", "", "")
@@ -84,22 +85,24 @@ func FuzzCodecEquivalence(f *testing.F) {
 		}
 		switch kind % 9 {
 		case 0:
-			env.Type = EnvPublish
-			env.Bin = &PublishBody{Queue: queue, Body: body}
+			// A batch of one: what an idle client sends.
+			env.Type = EnvPublishBatch
+			env.Bin = &PublishBatchBody{Queue: queue, Bodies: [][]byte{body}, Traces: []*trace.Context{env.Trace}}
 		case 1:
 			env.Type = EnvPublishBatch
 			env.Bin = &PublishBatchBody{Queue: queue, Bodies: [][]byte{body, nil, {}},
 				Traces: []*trace.Context{nil, env.Trace, nil}}
 		case 2:
-			env.Type = EnvDelivery
-			env.Bin = &DeliveryBody{Queue: queue, Tag: tag, Body: body, Redelivered: flag}
+			env.Type = EnvDeliveryBatch
+			env.Bin = &DeliveryBatchBody{Queue: queue,
+				Items: []DeliveryItem{{Tag: tag, Body: body, Redelivered: flag, Trace: env.Trace}}}
 		case 3:
 			env.Type = EnvDeliveryBatch
 			env.Bin = &DeliveryBatchBody{Queue: queue,
 				Items: []DeliveryItem{{Tag: tag, Body: body, Redelivered: flag, Trace: env.Trace}, {Tag: tag + 1}}}
 		case 4:
-			env.Type = EnvAck
-			env.Bin = &AckBody{Queue: queue, Tag: tag, DeadLetter: flag}
+			env.Type = EnvNack
+			env.Bin = &NackBody{Queue: queue, Tag: tag, DeadLetter: flag}
 		case 5:
 			env.Type = EnvAckBatch
 			env.Bin = &AckBatchBody{Queue: queue, Tags: []uint64{tag, tag + 1}}
@@ -107,8 +110,8 @@ func FuzzCodecEquivalence(f *testing.F) {
 			env.Type = EnvError
 			env.Bin = &ErrorBody{Message: queue}
 		case 7:
+			// Bodyless reply.
 			env.Type = EnvOK
-			env.Bin = &OKBody{Bin: flag}
 		case 8:
 			// Generic path: any envelope type, JSON body carried verbatim
 			// under binary framing.
@@ -159,7 +162,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 // anything that does decode re-encodes cleanly.
 func FuzzBinaryDecode(f *testing.F) {
 	seeds := []Envelope{
-		{Type: EnvPublish, ID: "1", Bin: &PublishBody{Queue: "tasks." + string(NewUUID()), Body: []byte("task")}},
+		{Type: EnvPublishBatch, ID: "1", Bin: &PublishBatchBody{Queue: "tasks." + string(NewUUID()), Bodies: [][]byte{[]byte("task")}}},
 		{Type: EnvDeliveryBatch, Bin: &DeliveryBatchBody{Queue: "q", Items: []DeliveryItem{{Tag: 1, Body: []byte("x")}}}},
 		{Type: EnvAckBatch, Bin: &AckBatchBody{Queue: "q", Tags: []uint64{1, 2, 3}}},
 		{Type: EnvHeartbeat, Body: []byte(`{"at":1}`),

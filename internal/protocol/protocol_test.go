@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -276,5 +277,40 @@ func TestFramePropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFrameReaderRejectsJSONFrame pins the single wire: a length-prefixed
+// JSON envelope (the framing peers spoke before the binary codec became the
+// only one) fails with ErrBadFrame instead of being decoded.
+func TestFrameReaderRejectsJSONFrame(t *testing.T) {
+	payload, err := json.Marshal(MustEnvelope(EnvHeartbeat, "1", map[string]int{"seq": 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.Write([]byte{0, 0, 0, byte(len(payload))})
+	buf.Write(payload)
+	_, err = NewFrameReader(&buf).Read()
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("Read of a JSON frame = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestFrameWriterWritesBinary checks every frame leaves the writer as a
+// binary envelope of the current version, whatever its type.
+func TestFrameWriterWritesBinary(t *testing.T) {
+	for _, env := range []Envelope{
+		MustEnvelope(EnvTask, "t", Task{ID: NewUUID()}),
+		{Type: EnvOK, ID: "1"},
+		{Type: EnvAckBatch, Bin: &AckBatchBody{Queue: "q", Tags: []uint64{1}}},
+	} {
+		var buf bytes.Buffer
+		if err := NewFrameWriter(&buf).Write(env); err != nil {
+			t.Fatal(err)
+		}
+		if b := buf.Bytes(); len(b) < 6 || b[4] != binMagic || b[5] != BinVersion {
+			t.Errorf("%s frame starts % x, want magic %#x version %d", env.Type, b[:6], binMagic, BinVersion)
+		}
 	}
 }

@@ -151,8 +151,6 @@ func startFleet(t *testing.T, client *sdk.Client, brokerAddr string) *simFleet {
 	if err != nil {
 		t.Fatalf("dial broker: %v", err)
 	}
-	bc.EnableBatching(broker.BatchConfig{})
-	bc.EnableBinary()
 	conn := bc.AsConn()
 
 	f := &simFleet{bc: bc, stop: make(chan struct{}), done: make(chan struct{})}
