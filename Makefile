@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race trace-race trace-bench bench bench-smoke bench-compare chaos crash overload overload-race obs-smoke route-smoke scenario scenario-full examples experiments fuzz fuzz-codec perfbench-check clean
+.PHONY: all build vet test race trace-bench bench bench-smoke bench-compare chaos crash overload obs-smoke route-smoke scenario scenario-full examples experiments fuzz fuzz-codec perfbench-check clean
 
-all: build vet test perfbench-check trace-race chaos crash overload obs-smoke route-smoke fuzz-codec bench-smoke bench-compare scenario
+all: build vet test perfbench-check race chaos crash overload obs-smoke route-smoke fuzz-codec bench-smoke bench-compare scenario
 
 build:
 	$(GO) build ./...
@@ -15,14 +15,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# Every package under the race detector: the trace, overload and data-plane
+# hot paths all run concurrently in every component.
 race:
 	$(GO) test -race ./...
-
-# The tracing subsystem and the packages it instruments, under the race
-# detector: the trace hot paths run concurrently in every component.
-trace-race:
-	$(GO) test -race ./internal/trace/ ./internal/broker/ ./internal/webservice/ \
-		./internal/endpoint/ ./internal/engine/ ./internal/sdk/
 
 # Fault-injection suite under the race detector: seeded chaos (connection
 # drops, worker kills, publish failures) against the full stack, plus the
@@ -49,15 +45,10 @@ crash:
 # every admitted task reaches exactly one terminal state, and idempotent
 # retries replay the original task IDs across a -data-dir restart (see
 # docs/ROBUSTNESS.md). Gated on GC_OVERLOAD so plain `go test ./...` stays
-# fast; also runs the admission/fairshare/webservice packages under the race
-# detector via overload-race.
-overload: overload-race
+# fast; the admission/fairshare/webservice packages run under the race
+# detector in `make race`.
+overload:
 	GC_OVERLOAD=1 $(GO) test -race -count=1 -timeout 300s -v -run TestOverload ./internal/overload/
-
-# The overload-protection hot paths (token buckets, in-flight accounting,
-# idempotency stripes, priority queues) under the race detector.
-overload-race:
-	$(GO) test -race ./internal/scheduler/... ./internal/webservice/... ./internal/broker/... ./internal/statestore/...
 
 # Observability smoke: boots the in-process testbed, scrapes and lints the
 # /metrics/fleet federation format, then kills an endpoint under load and

@@ -281,14 +281,9 @@ func (tb *Testbed) buildAgent(epID protocol.UUID, opts EndpointOptions) (*endpoi
 			SandboxRoot: opts.SandboxRoot,
 			Containers:  opts.Containers,
 		},
-		Objects: tb.Objects,
-	}
-	if opts.ProxyStore != nil {
-		preg := proxystore.NewRegistry()
-		preg.Register(opts.ProxyStore)
-		rc.Proxies = preg
-		rc.ProxyStore = opts.ProxyStore
-		rc.ProxyPolicy = opts.ProxyPolicy
+		Objects:     tb.Objects,
+		ProxyStore:  opts.ProxyStore,
+		ProxyPolicy: opts.ProxyPolicy,
 	}
 	var runner engine.TaskRunner = endpoint.NewRunnerFrom(rc)
 	if opts.WrapRunner != nil {

@@ -8,6 +8,7 @@ import (
 
 	"globuscompute/internal/broker"
 	"globuscompute/internal/engine"
+	"globuscompute/internal/objectstore"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/proxystore"
 	"globuscompute/internal/registry"
@@ -84,16 +85,13 @@ func TestMalformedTaskDeadLetters(t *testing.T) {
 
 func TestRunnerProxyResolutionAndResultProxying(t *testing.T) {
 	// Unit-level runner test: proxied args resolve, large results proxy.
-	store, err := proxystore.NewStore("unit", proxystore.NewMemoryConnector(), 4)
+	store, err := proxystore.NewStore("unit", objectstore.New(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preg := proxystore.NewRegistry()
-	preg.Register(store)
 	run := NewRunnerFrom(RunnerConfig{
 		Registry:    registry.Builtins(),
 		Shell:       shellfn.Options{},
-		Proxies:     preg,
 		ProxyStore:  store,
 		ProxyPolicy: proxystore.Policy{MinSize: 128},
 	})
@@ -118,7 +116,7 @@ func TestRunnerProxyResolutionAndResultProxying(t *testing.T) {
 	if err := json.Unmarshal(res.Output, &ref); err != nil || ref.Key == "" {
 		t.Fatalf("output not a reference: %.60s (%v)", res.Output, err)
 	}
-	resolved, err := preg.ResolveReference(ref)
+	resolved, err := store.ResolveReference(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +126,13 @@ func TestRunnerProxyResolutionAndResultProxying(t *testing.T) {
 }
 
 func TestRunnerProxyResolutionFailure(t *testing.T) {
-	preg := proxystore.NewRegistry() // no stores registered
+	store, err := proxystore.NewStore("unit", objectstore.New(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := NewRunnerFrom(RunnerConfig{
-		Registry: registry.Builtins(),
-		Proxies:  preg,
+		Registry:   registry.Builtins(),
+		ProxyStore: store,
 	})
 	refJSON, _ := json.Marshal(proxystore.Reference{Store: "ghost", Key: "k", Size: 1})
 	payload, _ := protocol.EncodePayload(protocol.PythonSpec{

@@ -21,6 +21,7 @@ import (
 	"globuscompute/internal/engine"
 	"globuscompute/internal/metrics"
 	"globuscompute/internal/mpiengine"
+	"globuscompute/internal/objectstore"
 	"globuscompute/internal/obs"
 	"globuscompute/internal/protocol"
 	"globuscompute/internal/proxystore"
@@ -30,9 +31,7 @@ import (
 )
 
 // ObjectFetcher resolves payload references spilled to the object store.
-type ObjectFetcher interface {
-	Get(key string) ([]byte, error)
-}
+type ObjectFetcher = objectstore.Fetcher
 
 // ObjectStorer spills large blobs to the object store by content key — the
 // write side of the pass-by-reference data plane (objectstore.Store and
@@ -817,10 +816,9 @@ type RunnerConfig struct {
 	Registry *registry.Registry
 	Shell    shellfn.Options
 	Objects  ObjectFetcher
-	// Proxies resolves pass-by-reference arguments (nil = references pass
-	// through untouched).
-	Proxies *proxystore.Registry
-	// ProxyStore + ProxyPolicy proxy large results out of band.
+	// ProxyStore resolves pass-by-reference arguments that name it (nil =
+	// arguments are not inspected) and, with ProxyPolicy, proxies large
+	// results out of band.
 	ProxyStore  *proxystore.Store
 	ProxyPolicy proxystore.Policy
 }
@@ -857,16 +855,16 @@ func NewRunnerFrom(rc RunnerConfig) engine.TaskRunner {
 			}
 			// Transparent proxy resolution: arguments that are references
 			// materialize from the store before invocation.
-			if rc.Proxies != nil {
+			if rc.ProxyStore != nil {
 				for i, raw := range spec.Args {
-					resolved, _, err := proxystore.MaybeResolve(rc.Proxies, raw)
+					resolved, _, err := proxystore.MaybeResolve(rc.ProxyStore, raw)
 					if err != nil {
 						return failure(task, fmt.Sprintf("resolve arg %d: %v", i, err))
 					}
 					spec.Args[i] = resolved
 				}
 				for k, raw := range spec.Kwargs {
-					resolved, _, err := proxystore.MaybeResolve(rc.Proxies, raw)
+					resolved, _, err := proxystore.MaybeResolve(rc.ProxyStore, raw)
 					if err != nil {
 						return failure(task, fmt.Sprintf("resolve kwarg %s: %v", k, err))
 					}

@@ -219,6 +219,8 @@ func TestPipelineBatchedIntakeAcksInOneBatch(t *testing.T) {
 	})
 
 	waitFor(t, "all results published", func() bool { return conn.totalPublished() == n })
+	// The intake acks from its own goroutine: wait for every tag too.
+	waitFor(t, "all tags acked", func() bool { return len(sub.ackedTags()) == n })
 	if got := agent.Metrics.Counter("tasks_received").Value(); got != n {
 		t.Errorf("tasks_received = %d, want %d", got, n)
 	}

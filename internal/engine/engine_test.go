@@ -326,6 +326,12 @@ func TestBacklogCapacityRejects(t *testing.T) {
 	})
 	eng.Start()
 	defer eng.Stop()
+	// Stop fails the backlog into Results and waits for the running task's
+	// result to be sent: with nobody draining, a full channel would hang it.
+	go func() {
+		for range eng.Results() {
+		}
+	}()
 	// One task occupies the worker; fill the backlog, then overflow.
 	accepted := 0
 	var lastErr error

@@ -61,6 +61,12 @@ func TestSimAgentServesTasksAndReportsLoad(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < (n-1)*5*time.Millisecond {
 		t.Fatalf("n tasks served in %v — service time not modeled serially", elapsed)
 	}
+	// The agent counts a result as published after its Publish and Ack
+	// return, which can trail the result's arrival here.
+	deadline := time.Now().Add(5 * time.Second)
+	for a.Load().ResultsPublished != n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	load := a.Load()
 	if load.TasksReceived != n || load.ResultsPublished != n || load.TotalWorkers != 1 {
 		t.Fatalf("load = %+v", load)

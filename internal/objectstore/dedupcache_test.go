@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -193,6 +194,45 @@ func TestOpenDirSurvivesReopen(t *testing.T) {
 	}
 	if _, err := s3.Get(key); err == nil {
 		t.Error("deleted object resurrected after reopen")
+	}
+}
+
+func TestOpenDirHostileKeysStayInside(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "objects")
+	s, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"../x", "a/b", `..\y`, "/abs", "../../etc/passwd", "."}
+	for _, k := range keys {
+		if err := s.Put(k, []byte("v:"+k)); err != nil {
+			t.Fatalf("Put(%q): %v", k, err)
+		}
+	}
+	s.Close()
+
+	s2, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if got, err := s2.Get(k); err != nil || string(got) != "v:"+k {
+			t.Errorf("Get(%q) after reopen = %q, %v", k, got, err)
+		}
+	}
+	// Every file lives directly in dir; nothing escaped to its parent.
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == root || path == dir {
+			return err
+		}
+		if filepath.Dir(path) != dir || d.IsDir() {
+			t.Errorf("unexpected entry outside the store directory: %s", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

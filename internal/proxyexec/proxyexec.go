@@ -3,7 +3,7 @@
 // size policy are automatically proxied into a store (only the reference
 // passes through the cloud), and proxied results resolve transparently
 // when futures are read. Worker-side resolution happens in the endpoint
-// runner (endpoint.RunnerConfig.Proxies).
+// runner (endpoint.RunnerConfig.ProxyStore).
 package proxyexec
 
 import (

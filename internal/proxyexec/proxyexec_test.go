@@ -32,7 +32,7 @@ func newProxyStack(t *testing.T, minSize int) *proxyStack {
 
 	// Client and workers share one in-site store (the testbed object
 	// store), as with a shared filesystem or Redis deployment.
-	store, err := proxystore.NewStore("site", proxystore.ObjectStoreConnector{Backend: tb.Objects}, 16)
+	store, err := proxystore.NewStore("site", tb.Objects, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTransparentArgumentProxying(t *testing.T) {
 	if s.store.Metrics.Counter("proxied").Value() < 1 {
 		t.Error("argument never proxied")
 	}
-	if s.store.Metrics.Counter("resolves").Value() < 1 {
+	if s.store.Metrics.Counter("dedup_cache_misses").Value() < 1 {
 		t.Error("worker never resolved the proxy")
 	}
 }

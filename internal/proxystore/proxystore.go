@@ -1,21 +1,20 @@
 // Package proxystore reimplements the ProxyStore model the paper adopts for
-// pass-by-reference data movement (§V-B): objects live in a store reached
-// through a pluggable connector (memory, shared filesystem, the object
-// store service); producers replace large values with lightweight proxies;
-// consumers resolve a proxy on first use, with per-process caching for
-// objects shared by many tasks. Proxied task arguments and results bypass
-// the cloud service's 10 MB payload limit entirely.
+// pass-by-reference data movement (§V-B): producers replace large values
+// with lightweight proxies naming an object in a shared store; consumers
+// resolve a proxy on first use, with a per-process cache for objects shared
+// by many tasks. Proxied task arguments and results bypass the cloud
+// service's 10 MB payload limit entirely.
+//
+// A Store is a thin layer over the content-addressed object store: a proxy
+// key is objectstore.ContentKey of the bytes — the same key a spilled
+// Task.PayloadRef or Result.OutputRef carries — and resolves go through one
+// objectstore.DedupCache.
 package proxystore
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 
 	"globuscompute/internal/metrics"
@@ -23,186 +22,17 @@ import (
 	"globuscompute/internal/serialize"
 )
 
-// Common errors.
-var (
-	ErrNotFound     = errors.New("proxystore: object not found")
-	ErrUnknownStore = errors.New("proxystore: unknown store")
-	ErrReleased     = errors.New("proxystore: proxy target released")
-	ErrBadReference = errors.New("proxystore: malformed reference")
-)
+// ErrUnknownStore reports a reference naming a store that is not reachable
+// here.
+var ErrUnknownStore = errors.New("proxystore: unknown store")
 
-// Connector moves bytes to and from a storage medium. Implementations
-// cover the paper's in-site options (memory, shared filesystem, object
-// store); wide-area options are modeled by the transfer package.
-type Connector interface {
-	Name() string
-	Put(key string, data []byte) error
-	Get(key string) ([]byte, error)
-	Delete(key string) error
-	Exists(key string) bool
+// Backend is the content-addressed object store a Store writes to and
+// reads from: *objectstore.Store (in memory, or on disk via OpenDir) and
+// *objectstore.Client (a remote store over HTTP) both satisfy it.
+type Backend interface {
+	objectstore.Fetcher
+	PutContent(data []byte) (string, error)
 }
-
-// --- connectors ---
-
-// MemoryConnector keeps objects in process memory (the Redis/margo-style
-// in-site store).
-type MemoryConnector struct {
-	mu      sync.RWMutex
-	objects map[string][]byte
-}
-
-// NewMemoryConnector returns an empty in-memory connector.
-func NewMemoryConnector() *MemoryConnector {
-	return &MemoryConnector{objects: make(map[string][]byte)}
-}
-
-// Name implements Connector.
-func (m *MemoryConnector) Name() string { return "memory" }
-
-// Put implements Connector.
-func (m *MemoryConnector) Put(key string, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.objects[key] = append([]byte(nil), data...)
-	return nil
-}
-
-// Get implements Connector.
-func (m *MemoryConnector) Get(key string) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	data, ok := m.objects[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// Delete implements Connector.
-func (m *MemoryConnector) Delete(key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.objects, key)
-	return nil
-}
-
-// Exists implements Connector.
-func (m *MemoryConnector) Exists(key string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.objects[key]
-	return ok
-}
-
-// FileConnector stores objects as files under a directory (the shared
-// filesystem option on HPC systems).
-type FileConnector struct {
-	dir string
-}
-
-// NewFileConnector uses dir (created if absent).
-func NewFileConnector(dir string) (*FileConnector, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("proxystore: file connector: %w", err)
-	}
-	return &FileConnector{dir: dir}, nil
-}
-
-// Name implements Connector.
-func (f *FileConnector) Name() string { return "file" }
-
-func (f *FileConnector) path(key string) (string, error) {
-	if key == "" || strings.ContainsAny(key, "/\\") {
-		return "", fmt.Errorf("%w: bad key %q", ErrBadReference, key)
-	}
-	return filepath.Join(f.dir, key), nil
-}
-
-// Put implements Connector.
-func (f *FileConnector) Put(key string, data []byte) error {
-	p, err := f.path(key)
-	if err != nil {
-		return err
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, p)
-}
-
-// Get implements Connector.
-func (f *FileConnector) Get(key string) ([]byte, error) {
-	p, err := f.path(key)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(p)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return data, err
-}
-
-// Delete implements Connector.
-func (f *FileConnector) Delete(key string) error {
-	p, err := f.path(key)
-	if err != nil {
-		return err
-	}
-	err = os.Remove(p)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
-// Exists implements Connector.
-func (f *FileConnector) Exists(key string) bool {
-	p, err := f.path(key)
-	if err != nil {
-		return false
-	}
-	_, statErr := os.Stat(p)
-	return statErr == nil
-}
-
-// ObjectStoreConnector bridges to the object store service (or its HTTP
-// client) so proxies can reference S3-style storage.
-type ObjectStoreConnector struct {
-	// Backend is anything with the object-store Put/Get/Delete shape.
-	Backend interface {
-		Put(key string, data []byte) error
-		Get(key string) ([]byte, error)
-		Delete(key string) error
-	}
-}
-
-// Name implements Connector.
-func (o ObjectStoreConnector) Name() string { return "objectstore" }
-
-// Put implements Connector.
-func (o ObjectStoreConnector) Put(key string, data []byte) error { return o.Backend.Put(key, data) }
-
-// Get implements Connector, translating the backend's not-found error.
-func (o ObjectStoreConnector) Get(key string) ([]byte, error) {
-	data, err := o.Backend.Get(key)
-	if errors.Is(err, objectstore.ErrNotFound) {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return data, err
-}
-
-// Delete implements Connector.
-func (o ObjectStoreConnector) Delete(key string) error { return o.Backend.Delete(key) }
-
-// Exists implements Connector.
-func (o ObjectStoreConnector) Exists(key string) bool {
-	_, err := o.Backend.Get(key)
-	return err == nil
-}
-
-// --- store ---
 
 // Reference is the serializable proxy token that travels inside task
 // payloads in place of the object (pass-by-reference).
@@ -210,45 +40,36 @@ type Reference struct {
 	Store string `json:"ps_store"`
 	Key   string `json:"ps_key"`
 	Size  int    `json:"ps_size"`
-	// Owned marks evict-on-first-resolve semantics (OwnedProxy pattern:
-	// the consumer that resolves it releases the target).
-	Owned bool `json:"ps_owned,omitempty"`
 }
 
-// Store names a connector and provides proxy/resolve with caching.
+// Store names a backend and provides proxy/resolve through a dedup cache.
 type Store struct {
-	name string
-	conn Connector
-	// cache holds recently resolved objects for reuse across tasks in the
-	// same process.
-	cacheMu  sync.Mutex
-	cache    map[string][]byte
-	cacheCap int
-	cacheSeq []string // FIFO eviction order
+	name    string
+	backend Backend
+	cache   *objectstore.DedupCache
 
+	// Metrics counts proxied/proxied_bytes and carries the cache's
+	// dedup_cache_* family.
 	Metrics *metrics.Registry
 }
 
-// NewStore builds a store over a connector. cacheCap bounds the resolve
-// cache entry count (<=0 disables caching).
-func NewStore(name string, conn Connector, cacheCap int) (*Store, error) {
+// NewStore builds a store over backend whose resolves are cached in an LRU
+// of up to cacheBytes (<= 0 disables caching).
+func NewStore(name string, backend Backend, cacheBytes int64) (*Store, error) {
 	if name == "" {
 		return nil, errors.New("proxystore: store requires a name")
 	}
-	if conn == nil {
-		return nil, errors.New("proxystore: store requires a connector")
+	if backend == nil {
+		return nil, errors.New("proxystore: store requires a backend")
 	}
-	return &Store{
-		name: name, conn: conn,
-		cache: make(map[string][]byte), cacheCap: cacheCap,
-		Metrics: metrics.NewRegistry(),
-	}, nil
+	cache := objectstore.NewDedupCache(backend, cacheBytes)
+	return &Store{name: name, backend: backend, cache: cache, Metrics: cache.Metrics}, nil
 }
 
 // Name returns the store name used in references.
 func (s *Store) Name() string { return s.name }
 
-// Put serializes v (JSON envelope) into the connector and returns a proxy.
+// Put serializes v (JSON envelope) into the backend and returns a proxy.
 func (s *Store) Put(v any) (*Proxy, error) {
 	data, err := serialize.Encode(v, serialize.Options{Codec: serialize.CodecJSON, Compress: true, CompressAbove: 4 << 10, Limit: 1 << 31})
 	if err != nil {
@@ -257,11 +78,11 @@ func (s *Store) Put(v any) (*Proxy, error) {
 	return s.PutBytes(data)
 }
 
-// PutBytes stores pre-serialized bytes under a content-addressed key.
+// PutBytes stores pre-serialized bytes under their content key; content the
+// backend already holds is not written again.
 func (s *Store) PutBytes(data []byte) (*Proxy, error) {
-	sum := sha256.Sum256(data)
-	key := hex.EncodeToString(sum[:16])
-	if err := s.conn.Put(key, data); err != nil {
+	key, err := s.backend.PutContent(data)
+	if err != nil {
 		return nil, err
 	}
 	s.Metrics.Counter("proxied").Inc()
@@ -269,61 +90,12 @@ func (s *Store) PutBytes(data []byte) (*Proxy, error) {
 	return &Proxy{ref: Reference{Store: s.name, Key: key, Size: len(data)}, store: s}, nil
 }
 
-// PutOwned stores bytes with evict-on-resolve semantics: the first resolve
-// deletes the target (the ownership pattern of the OOPSLA follow-up the
-// paper cites for lifetime management).
-func (s *Store) PutOwned(data []byte) (*Proxy, error) {
-	p, err := s.PutBytes(data)
-	if err != nil {
-		return nil, err
+// ResolveReference fetches the bytes behind a reference to this store.
+func (s *Store) ResolveReference(ref Reference) ([]byte, error) {
+	if ref.Store != s.name {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownStore, ref.Store)
 	}
-	p.ref.Owned = true
-	return p, nil
-}
-
-// resolve fetches the bytes behind a reference, consulting the cache.
-func (s *Store) resolve(ref Reference) ([]byte, error) {
-	if s.cacheCap > 0 && !ref.Owned {
-		s.cacheMu.Lock()
-		if data, ok := s.cache[ref.Key]; ok {
-			s.cacheMu.Unlock()
-			s.Metrics.Counter("cache_hits").Inc()
-			return data, nil
-		}
-		s.cacheMu.Unlock()
-	}
-	data, err := s.conn.Get(ref.Key)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) && ref.Owned {
-			return nil, fmt.Errorf("%w: %q", ErrReleased, ref.Key)
-		}
-		return nil, err
-	}
-	s.Metrics.Counter("resolves").Inc()
-	if ref.Owned {
-		_ = s.conn.Delete(ref.Key)
-	} else if s.cacheCap > 0 {
-		s.cacheMu.Lock()
-		if _, dup := s.cache[ref.Key]; !dup {
-			if len(s.cacheSeq) >= s.cacheCap {
-				oldest := s.cacheSeq[0]
-				s.cacheSeq = s.cacheSeq[1:]
-				delete(s.cache, oldest)
-			}
-			s.cache[ref.Key] = data
-			s.cacheSeq = append(s.cacheSeq, ref.Key)
-		}
-		s.cacheMu.Unlock()
-	}
-	return data, nil
-}
-
-// Evict removes an object from the connector and cache.
-func (s *Store) Evict(ref Reference) error {
-	s.cacheMu.Lock()
-	delete(s.cache, ref.Key)
-	s.cacheMu.Unlock()
-	return s.conn.Delete(ref.Key)
+	return s.cache.Get(ref.Key)
 }
 
 // Proxy is the transparent-object-proxy analogue: a handle that resolves
@@ -345,7 +117,7 @@ func (p *Proxy) Reference() Reference { return p.ref }
 // Resolve fetches (once) and returns the serialized bytes.
 func (p *Proxy) Resolve() ([]byte, error) {
 	p.once.Do(func() {
-		p.data, p.err = p.store.resolve(p.ref)
+		p.data, p.err = p.store.ResolveReference(p.ref)
 	})
 	return p.data, p.err
 }
@@ -358,9 +130,6 @@ func (p *Proxy) ResolveInto(v any) error {
 	}
 	return serialize.Decode(data, v)
 }
-
-// Release deletes the proxy target.
-func (p *Proxy) Release() error { return p.store.Evict(p.ref) }
 
 // --- registry ---
 
@@ -400,7 +169,13 @@ func (r *Registry) ResolveReference(ref Reference) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.resolve(ref)
+	return s.ResolveReference(ref)
+}
+
+// Resolver fetches the bytes behind a wire reference: a Registry resolves
+// references to any registered store, a Store only its own.
+type Resolver interface {
+	ResolveReference(ref Reference) ([]byte, error)
 }
 
 // --- policy ---
@@ -440,14 +215,14 @@ func MaybeProxy(store *Store, policy Policy, v any) (json.RawMessage, bool, erro
 }
 
 // MaybeResolve inspects raw JSON: if it is a proxy reference, it resolves
-// through the registry and returns the original serialized value; otherwise
-// it returns raw unchanged.
-func MaybeResolve(reg *Registry, raw json.RawMessage) (json.RawMessage, bool, error) {
+// through r and returns the original serialized value; otherwise it
+// returns raw unchanged.
+func MaybeResolve(r Resolver, raw json.RawMessage) (json.RawMessage, bool, error) {
 	var ref Reference
 	if err := json.Unmarshal(raw, &ref); err != nil || ref.Store == "" || ref.Key == "" {
 		return raw, false, nil
 	}
-	data, err := reg.ResolveReference(ref)
+	data, err := r.ResolveReference(ref)
 	if err != nil {
 		return nil, true, err
 	}

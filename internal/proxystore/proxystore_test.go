@@ -6,62 +6,81 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"globuscompute/internal/objectstore"
 )
 
-func connectors(t *testing.T) map[string]Connector {
+// backends returns every object-store flavour a Store runs over: in
+// memory, on disk, and a remote store over HTTP.
+func backends(t *testing.T) map[string]Backend {
 	t.Helper()
-	fc, err := NewFileConnector(t.TempDir())
+	disk, err := objectstore.OpenDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Connector{
-		"memory":      NewMemoryConnector(),
-		"file":        fc,
-		"objectstore": ObjectStoreConnector{Backend: objectstore.New()},
+	srv, err := objectstore.ServeHTTP(objectstore.New(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return map[string]Backend{
+		"memory":      objectstore.New(),
+		"file":        disk,
+		"objectstore": objectstore.NewClient(srv.Addr()),
 	}
 }
 
-func TestConnectorRoundTrip(t *testing.T) {
-	for name, c := range connectors(t) {
+func TestBackendRoundTrip(t *testing.T) {
+	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			if c.Exists("k") {
-				t.Error("phantom key")
-			}
-			if err := c.Put("k", []byte("v")); err != nil {
+			s, err := NewStore("main", b, 1<<20)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !c.Exists("k") {
-				t.Error("key missing after put")
+			if _, err := s.ResolveReference(Reference{Store: "main", Key: objectstore.ContentKey([]byte("v"))}); !errors.Is(err, objectstore.ErrNotFound) {
+				t.Errorf("resolve before put = %v, want ErrNotFound", err)
 			}
-			got, err := c.Get("k")
+			p, err := s.PutBytes([]byte("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Reference().Key != objectstore.ContentKey([]byte("v")) {
+				t.Errorf("key = %q, want the content key", p.Reference().Key)
+			}
+			got, err := s.ResolveReference(p.Reference())
 			if err != nil || string(got) != "v" {
-				t.Errorf("Get = %q, %v", got, err)
-			}
-			if err := c.Delete("k"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
-				t.Errorf("Get deleted = %v", err)
+				t.Errorf("resolve = %q, %v", got, err)
 			}
 		})
 	}
 }
 
-func TestFileConnectorRejectsTraversal(t *testing.T) {
-	fc, _ := NewFileConnector(t.TempDir())
-	for _, key := range []string{"", "../escape", "a/b", `a\b`} {
-		if err := fc.Put(key, []byte("x")); err == nil {
-			t.Errorf("Put(%q) succeeded", key)
-		}
+func TestProxyKeyIsSpillKey(t *testing.T) {
+	backend := objectstore.New()
+	s, _ := NewStore("main", backend, 0)
+	data := []byte(strings.Repeat("shared input ", 100))
+	p, err := s.PutBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spillKey, err := backend.PutContent(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Reference().Key != spillKey {
+		t.Errorf("proxy key %q != spill key %q", p.Reference().Key, spillKey)
+	}
+	if backend.Len() != 1 {
+		t.Errorf("backend holds %d objects, want 1", backend.Len())
 	}
 }
 
 func TestProxyResolve(t *testing.T) {
-	s, err := NewStore("main", NewMemoryConnector(), 8)
+	s, err := NewStore("main", objectstore.New(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,94 +106,92 @@ func TestProxyResolve(t *testing.T) {
 }
 
 func TestProxyResolveOnce(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 0)
+	backend := objectstore.New()
+	s, _ := NewStore("main", backend, 0) // no cache: only the proxy memoizes
 	p, _ := s.PutBytes([]byte("payload"))
-	// Delete behind the proxy's back; the first resolve already cached in
-	// the proxy? No — resolve happens lazily, so delete-then-resolve fails;
-	// but resolve-then-delete-then-resolve succeeds from the proxy's own
-	// memoization.
 	if _, err := p.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	s.Evict(p.Reference())
+	if err := backend.Delete(p.Reference().Key); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := p.Resolve(); err != nil {
 		t.Errorf("memoized resolve failed: %v", err)
 	}
 }
 
 func TestProxyContentAddressing(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 0)
+	backend := objectstore.New()
+	s, _ := NewStore("main", backend, 0)
 	p1, _ := s.PutBytes([]byte("same"))
 	p2, _ := s.PutBytes([]byte("same"))
 	if p1.Reference().Key != p2.Reference().Key {
 		t.Error("identical content produced different keys")
 	}
+	if got := backend.Metrics.Counter("puts").Value(); got != 1 {
+		t.Errorf("backend writes = %d, want 1 (re-put skipped)", got)
+	}
 }
 
-func TestOwnedProxyEvictsOnResolve(t *testing.T) {
-	conn := NewMemoryConnector()
-	s, _ := NewStore("main", conn, 8)
-	p, err := s.PutOwned([]byte("one-shot"))
-	if err != nil {
+func TestResolveKeepsSharedContent(t *testing.T) {
+	// Content-addressed bytes may back several references (and spilled
+	// task payloads); resolving one must never delete them.
+	backend := objectstore.New()
+	s, _ := NewStore("main", backend, 0)
+	p1, _ := s.PutBytes([]byte("shared"))
+	p2, _ := s.PutBytes([]byte("shared"))
+	if _, err := p1.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	key := p.Reference().Key
-	if _, err := p.Resolve(); err != nil {
-		t.Fatal(err)
+	if !backend.Exists(p1.Reference().Key) {
+		t.Fatal("resolve deleted the target")
 	}
-	if conn.Exists(key) {
-		t.Error("owned target survived resolve")
-	}
-	// A second proxy to the same (now deleted) reference reports released.
-	p2 := &Proxy{ref: p.Reference(), store: s}
-	if _, err := p2.Resolve(); !errors.Is(err, ErrReleased) {
-		t.Errorf("err = %v, want ErrReleased", err)
+	if data, err := p2.Resolve(); err != nil || string(data) != "shared" {
+		t.Errorf("second reference = %q, %v", data, err)
 	}
 }
 
 func TestCacheHits(t *testing.T) {
-	conn := NewMemoryConnector()
-	s, _ := NewStore("main", conn, 4)
+	backend := objectstore.New()
+	s, _ := NewStore("main", backend, 1<<20)
 	p, _ := s.PutBytes([]byte("cached"))
 	ref := p.Reference()
-	// Two distinct proxies to the same reference: second resolve must hit
-	// the cache even after the connector object disappears.
+	// Two distinct proxies to the same reference: the second resolve must
+	// hit the cache even after the backend object disappears.
 	pa := &Proxy{ref: ref, store: s}
 	if _, err := pa.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	conn.Delete(ref.Key)
+	backend.Delete(ref.Key)
 	pb := &Proxy{ref: ref, store: s}
 	if _, err := pb.Resolve(); err != nil {
 		t.Errorf("cache miss after delete: %v", err)
 	}
-	if s.Metrics.Counter("cache_hits").Value() != 1 {
-		t.Errorf("cache hits = %d", s.Metrics.Counter("cache_hits").Value())
+	if got := s.Metrics.Counter("dedup_cache_hits").Value(); got != 1 {
+		t.Errorf("cache hits = %d, want 1", got)
 	}
 }
 
 func TestCacheEvictionBounded(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 2)
-	var refs []Reference
-	for i := 0; i < 5; i++ {
-		p, _ := s.PutBytes([]byte(fmt.Sprintf("obj-%d", i)))
-		refs = append(refs, p.Reference())
-		if _, err := s.resolve(p.Reference()); err != nil {
+	const budget = 64
+	s, _ := NewStore("main", objectstore.New(), budget)
+	for i := 0; i < 10; i++ {
+		p, _ := s.PutBytes([]byte(fmt.Sprintf("object-%02d-%s", i, strings.Repeat("x", 20))))
+		if _, err := s.ResolveReference(p.Reference()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.cacheMu.Lock()
-	n := len(s.cache)
-	s.cacheMu.Unlock()
-	if n > 2 {
-		t.Errorf("cache grew to %d entries, cap 2", n)
+	if got := s.cache.Bytes(); got > budget {
+		t.Errorf("cache grew to %d bytes, budget %d", got, budget)
 	}
-	_ = refs
+	if s.Metrics.Counter("dedup_cache_evictions").Value() == 0 {
+		t.Error("no evictions past the budget")
+	}
 }
 
 func TestRegistryResolve(t *testing.T) {
 	reg := NewRegistry()
-	s, _ := NewStore("site-a", NewMemoryConnector(), 0)
+	s, _ := NewStore("site-a", objectstore.New(), 0)
 	reg.Register(s)
 	p, _ := s.PutBytes([]byte("via registry"))
 	got, err := reg.ResolveReference(p.Reference())
@@ -184,10 +201,13 @@ func TestRegistryResolve(t *testing.T) {
 	if _, err := reg.ResolveReference(Reference{Store: "nowhere", Key: "k"}); !errors.Is(err, ErrUnknownStore) {
 		t.Errorf("unknown store = %v", err)
 	}
+	if _, err := s.ResolveReference(Reference{Store: "nowhere", Key: p.Reference().Key}); !errors.Is(err, ErrUnknownStore) {
+		t.Errorf("foreign reference on store = %v", err)
+	}
 }
 
 func TestPolicyMaybeProxy(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 0)
+	s, _ := NewStore("main", objectstore.New(), 0)
 	reg := NewRegistry()
 	reg.Register(s)
 	policy := Policy{MinSize: 100}
@@ -225,7 +245,7 @@ func TestPolicyMaybeProxy(t *testing.T) {
 }
 
 func TestPolicyDisabled(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 0)
+	s, _ := NewStore("main", objectstore.New(), 0)
 	raw, proxied, err := MaybeProxy(s, Policy{}, strings.Repeat("y", 10000))
 	if err != nil || proxied {
 		t.Errorf("zero policy proxied: %v %v", proxied, err)
@@ -246,36 +266,56 @@ func TestMaybeResolvePassthrough(t *testing.T) {
 }
 
 func TestStoreValidation(t *testing.T) {
-	if _, err := NewStore("", NewMemoryConnector(), 0); err == nil {
+	if _, err := NewStore("", objectstore.New(), 0); err == nil {
 		t.Error("unnamed store accepted")
 	}
 	if _, err := NewStore("x", nil, 0); err == nil {
-		t.Error("nil connector accepted")
+		t.Error("nil backend accepted")
 	}
 }
 
+// gatedBackend counts backend fetches and holds each one until release is
+// closed, so concurrent resolves overlap.
+type gatedBackend struct {
+	*objectstore.Store
+	release chan struct{}
+	gets    atomic.Int64
+}
+
+func (g *gatedBackend) Get(key string) ([]byte, error) {
+	g.gets.Add(1)
+	<-g.release
+	return g.Store.Get(key)
+}
+
 func TestConcurrentProxyResolve(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 16)
+	backend := &gatedBackend{Store: objectstore.New(), release: make(chan struct{})}
+	s, _ := NewStore("main", backend, 1<<20)
 	p, _ := s.PutBytes([]byte("shared"))
+	ref := p.Reference()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if data, err := p.Resolve(); err != nil || string(data) != "shared" {
+			// A distinct Proxy per goroutine: only the store's cache can
+			// coalesce these resolves.
+			px := &Proxy{ref: ref, store: s}
+			if data, err := px.Resolve(); err != nil || string(data) != "shared" {
 				t.Errorf("resolve = %q, %v", data, err)
 			}
 		}()
 	}
+	time.Sleep(20 * time.Millisecond)
+	close(backend.release)
 	wg.Wait()
-	// The proxy memoizes: exactly one connector fetch.
-	if got := s.Metrics.Counter("resolves").Value(); got != 1 {
-		t.Errorf("connector resolves = %d, want 1", got)
+	if got := backend.gets.Load(); got != 1 {
+		t.Errorf("backend fetches = %d for 16 concurrent resolves, want 1", got)
 	}
 }
 
 func TestPropertyProxyRoundTrip(t *testing.T) {
-	s, _ := NewStore("main", NewMemoryConnector(), 4)
+	s, _ := NewStore("main", objectstore.New(), 1<<10)
 	f := func(data []byte) bool {
 		p, err := s.PutBytes(data)
 		if err != nil {
